@@ -54,6 +54,16 @@ def _gens_arg(text: str) -> tuple[int, ...]:
     return gens
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _shape_arg(text: str) -> Partition:
     try:
         return Partition(int(part) for part in text.split(",") if part != "")
@@ -146,7 +156,7 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--max-sum", type=int, default=16)
     p_verify.add_argument("--max-path-n", type=int, default=8)
     p_verify.add_argument("--max-k", type=int, default=3)
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", type=_positive_int, default=1)
     p_verify.add_argument("--format", choices=("plain", "json"), default="plain")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -209,6 +219,11 @@ def cmd_ideals(args) -> int:
 
 def cmd_cores(args) -> int:
     poset = build_gap_poset(args.gens)
+    if (args.count_only and not (args.list_items or args.total_size or args.from_file)
+            and args.format == "plain"):
+        print(poset.count_lower_ideals(
+            max_states=args.max_items if args.max_items is not None else COUNT_CAP))
+        return 0
     cores = [
         ideal_to_core(poset, ideal)
         for ideal in poset.iter_lower_ideals(

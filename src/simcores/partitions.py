@@ -18,14 +18,15 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        p = [int(a) for a in parts]
+        p = list(map(int, parts))
         while p and p[-1] == 0:
             p.pop()
-        for i, a in enumerate(p):
-            if a <= 0:
-                raise ValueError(f"partition parts must be positive, got {a}")
-            if i and p[i - 1] < a:
-                raise ValueError(f"parts must be weakly decreasing, got {p}")
+        if p and not (p[-1] > 0 and p == sorted(p, reverse=True)):
+            for i, a in enumerate(p):  # find the first offending part for the message
+                if a <= 0:
+                    raise ValueError(f"partition parts must be positive, got {a}")
+                if i and p[i - 1] < a:
+                    raise ValueError(f"parts must be weakly decreasing, got {p}")
         self.parts = tuple(p)
 
     @property
@@ -131,11 +132,10 @@ def partition_from_hooks(hooks: Iterable[int]) -> Partition:
     Sorting the hooks increasingly as h_1 < ... < h_k, the parts are
     h_(k+1-i) - (k-i); this inverts first_column_hooks.
     """
-    hs = sorted(set(int(h) for h in hooks))
+    hs = sorted(set(map(int, hooks)))
     if hs and hs[0] < 1:
         raise ValueError(f"hook values must be positive, got {hs[0]}")
-    k = len(hs)
-    return Partition(hs[k - i] - (k - i) for i in range(1, k + 1))
+    return Partition([h - j for j, h in enumerate(hs)][::-1])
 
 
 def subpartitions(p: Partition, max_items: int | None = None) -> Iterator[Partition]:

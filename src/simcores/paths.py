@@ -105,33 +105,53 @@ def diagonal_partition(s: int, t: int) -> Partition:
 def enumerate_rect_paths(s: int, t: int, max_items: int | None = DEFAULT_LIST_CAP) -> Iterator[RectPath]:
     """All (s, t) paths, N-step first at every branch (deterministic order)."""
     _require_coprime(s, t)
-    count = 0
-    steps: list[str] = []
+    moves = (("N", 0, 1), ("E", 1, 0))
+    for steps in _lattice_walks(moves, (t, s), max_items, f"({s},{t}) rectangle paths"):
+        yield RectPath(s, t, steps)
 
-    def rec(x: int, y: int) -> Iterator[RectPath]:
-        nonlocal count
-        if x == t and y == s:
+
+def _lattice_walks(moves: Sequence[tuple[str, int, int]], target: tuple[int, int],
+                   max_items: int | None, what: str) -> Iterator[list[str]]:
+    """Step names of every walk from (0,0) to target that stays weakly above the
+    segment joining them and never rises above target's height.
+
+    Depth first, trying `moves` (name, dx, dy) in the given order at each
+    point, as one loop over an explicit stack of (x, y, next move) frames,
+    so path length is not limited by recursion depth.  The yielded list is
+    reused: callers copy it before resuming.  Raises EnumerationCapError
+    (naming `what`) on reaching walk max_items + 1.
+    """
+    tx, ty = target
+    steps: list[str] = []
+    stack = [(0, 0, 0)]
+    count = 0
+    while stack:
+        x, y, m = stack.pop()
+        if x == tx and y == ty:
             count += 1
             if max_items is not None and count > max_items:
-                raise EnumerationCapError(f"({s},{t}) rectangle paths", max_items)
-            yield RectPath(s, t, steps)
-            return
-        if y < s:
-            steps.append("N")
-            yield from rec(x, y + 1)
-            steps.pop()
-        if x < t and t * y >= s * (x + 1):
-            steps.append("E")
-            yield from rec(x + 1, y)
-            steps.pop()
-
-    yield from rec(0, 0)
+                raise EnumerationCapError(what, max_items)
+            yield steps
+            m = len(moves)  # nothing is admissible from the target
+        while m < len(moves):
+            name, dx, dy = moves[m]
+            m += 1
+            nx, ny = x + dx, y + dy
+            if ny <= ty and tx * ny >= ty * nx:
+                stack.append((x, y, m))
+                stack.append((nx, ny, 0))
+                steps.append(name)
+                break
+        else:
+            if stack:  # every frame but the first was entered by a step
+                steps.pop()
 
 
 # ---------------------------------------------------------------------------
 # generalized Dyck paths
 
 
+@lru_cache(maxsize=256)
 def _step_displacement(step: str, k: int) -> tuple[int, int]:
     kind, amount = step[0], step[1:]
     if not amount.isdigit():
@@ -225,26 +245,9 @@ def enumerate_gd(n: int, k: int, max_items: int | None = DEFAULT_LIST_CAP) -> It
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     step_names = [f"N{k}", f"E{k}"] + [f"D{i}" for i in range(1, k)]
-    moves = [(name, _step_displacement(name, k)) for name in step_names]
-    count = 0
-    steps: list[str] = []
-
-    def rec(x: int, y: int) -> Iterator[GeneralizedDyckPath]:
-        nonlocal count
-        if x == n and y == n:
-            count += 1
-            if max_items is not None and count > max_items:
-                raise EnumerationCapError(f"generalized ({n},{k}) paths", max_items)
-            yield GeneralizedDyckPath(n, k, steps)
-            return
-        for name, (dx, dy) in moves:
-            nx, ny = x + dx, y + dy
-            if ny <= n and nx <= ny:
-                steps.append(name)
-                yield from rec(nx, ny)
-                steps.pop()
-
-    yield from rec(0, 0)
+    moves = [(name, *_step_displacement(name, k)) for name in step_names]
+    for steps in _lattice_walks(moves, (n, n), max_items, f"generalized ({n},{k}) paths"):
+        yield GeneralizedDyckPath(n, k, steps)
 
 
 def diagonal_cell_labels(n: int, k: int) -> dict[tuple[int, int], int]:
@@ -255,14 +258,20 @@ def diagonal_cell_labels(n: int, k: int) -> dict[tuple[int, int], int]:
     q*(n+k) + 1 + x, so labels increase to the northeast along a diagonal
     and successive diagonals start at 1, 1+(n+k), 1+2(n+k), ...
     """
-    labels = {}
+    return {(x, y): label for x, y, label in _cell_label_table(n, k)}
+
+
+@lru_cache(maxsize=64)
+def _cell_label_table(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
+    """(x, y, label) of every labelled cell, diagonal by diagonal."""
+    table = []
     q = 0
     while q * k + 1 <= n - 1:
         d = q * k + 1
         for x in range(n - d):
-            labels[(x, x + d)] = q * (n + k) + 1 + x
+            table.append((x, x + d, q * (n + k) + 1 + x))
         q += 1
-    return labels
+    return tuple(table)
 
 
 def gd_to_ideal(path: GeneralizedDyckPath, poset: GapPoset | None = None) -> frozenset[int]:
@@ -278,18 +287,17 @@ def gd_to_ideal(path: GeneralizedDyckPath, poset: GapPoset | None = None) -> fro
     n, k = path.n, path.k
     if poset is None:
         poset = consecutive_poset(n, k)
+    # height of the inflated path over each column: a step (dx, dy) rises
+    # first (D_i inflates to N^i E^i), then runs east at its new height
     heights = [0] * n
     x = y = 0
-    for step in path.inflate():
-        if step == "N":
-            y += 1
-        else:
-            heights[x] = y
-            x += 1
+    for step in path.steps:
+        dx, dy = _step_displacement(step, k)
+        y += dy
+        heights[x:x + dx] = [y] * dx
+        x += dx
     ideal = frozenset(
-        label
-        for (cx, cy), label in diagonal_cell_labels(n, k).items()
-        if cy < heights[cx]
+        label for cx, cy, label in _cell_label_table(n, k) if cy < heights[cx]
     )
     assert poset.is_lower_ideal(ideal), (
         f"label set {sorted(ideal)} from path {list(path.steps)} is not a lower "

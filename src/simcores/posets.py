@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import EnumerationCapError, InfinitePosetError
@@ -24,7 +25,7 @@ DEFAULT_COUNT_CAP = 10**7
 class GapPoset:
     """Immutable poset of the gaps of a numerical semigroup."""
 
-    __slots__ = ("generators", "gaps", "covers", "_gapset", "_representable")
+    __slots__ = ("generators", "gaps", "covers", "_gapset", "_representable", "_lower")
 
     def __init__(self, generators: Iterable[int]):
         gens = sorted(set(int(g) for g in generators))
@@ -41,12 +42,13 @@ class GapPoset:
             m for m in range(1, len(self._representable)) if not self._representable[m]
         )
         self._gapset = frozenset(self.gaps)
-        self.covers = tuple(
-            (a, a - s)
+        # lower covers of every gap, in generator order; built once and read by
+        # covers, lower_covers, is_lower_ideal and both ideal algorithms
+        self._lower = {
+            a: tuple(a - s for s in self.generators if (a - s) in self._gapset)
             for a in self.gaps
-            for s in self.generators
-            if (a - s) in self._gapset
-        )
+        }
+        self.covers = tuple((a, c) for a in self.gaps for c in self._lower[a])
 
     def is_representable(self, m: int) -> bool:
         """Whether m is a non-negative combination of the generators."""
@@ -68,44 +70,58 @@ class GapPoset:
         return b == a or (a - b > 0 and self.is_representable(a - b))
 
     def lower_covers(self, a: int) -> tuple[int, ...]:
-        return tuple(a - s for s in self.generators if (a - s) in self._gapset)
+        covers = self._lower.get(a)
+        if covers is None:  # a is not a gap
+            return tuple(a - s for s in self.generators if (a - s) in self._gapset)
+        return covers
 
     def is_lower_ideal(self, subset: Iterable[int]) -> bool:
         """Downward closure check; closure under covers equals closure under the order."""
-        ideal = set(subset)
+        ideal = frozenset(subset)
         if not ideal <= self._gapset:
             return False
-        return all(c in ideal for a in ideal for c in self.lower_covers(a))
+        return ideal.issuperset(chain.from_iterable(map(self._lower.__getitem__, ideal)))
 
     def iter_lower_ideals(self, max_items: int | None = DEFAULT_LIST_CAP) -> Iterator[frozenset[int]]:
         """Every lower ideal exactly once, as a frozenset of gap values.
 
         Deterministic order: gaps are decided in increasing value, exclusion
         branch first, so the empty ideal comes first and the full gap set last.
+
+        The depth-first search runs as one loop with no recursion.  Bit i of
+        `mask` records whether gaps[i] is in the current ideal, and `chosen`
+        holds those gaps in increasing order.  Excluding a gap never blocks
+        the all-excluded completion, so every branch ends in an ideal and the
+        next ideal is found by undoing the deepest decisions: clear included
+        gaps from the top down until an excluded gap whose lower covers are
+        all in the mask turns up, include it, and exclude everything above.
         """
         gaps = self.gaps
-        covers_of = {g: self.lower_covers(g) for g in gaps}
-        included: set[int] = set()
+        index = {g: i for i, g in enumerate(gaps)}
+        need = [sum(1 << index[c] for c in self._lower[g]) for g in gaps]
+        mask = 0
+        chosen: list[int] = []
         count = 0
-
-        def rec(i: int) -> Iterator[frozenset[int]]:
-            nonlocal count
-            if i == len(gaps):
-                count += 1
-                if max_items is not None and count > max_items:
-                    raise EnumerationCapError(
-                        f"lower ideals of P_{list(self.generators)}", max_items
-                    )
-                yield frozenset(included)
+        while True:
+            count += 1
+            if max_items is not None and count > max_items:
+                raise EnumerationCapError(
+                    f"lower ideals of P_{list(self.generators)}", max_items
+                )
+            yield frozenset(chosen)
+            i = len(gaps) - 1
+            while i >= 0:
+                bit = 1 << i
+                if mask & bit:
+                    mask ^= bit
+                    chosen.pop()
+                elif need[i] & mask == need[i]:
+                    break
+                i -= 1
+            if i < 0:
                 return
-            g = gaps[i]
-            yield from rec(i + 1)
-            if all(c in included for c in covers_of[g]):
-                included.add(g)
-                yield from rec(i + 1)
-                included.discard(g)
-
-        yield from rec(0)
+            mask |= 1 << i
+            chosen.append(gaps[i])
 
     def count_lower_ideals(self, max_states: int | None = DEFAULT_COUNT_CAP) -> int:
         """Number of lower ideals, by dynamic programming over a sliding window.
@@ -120,26 +136,26 @@ class GapPoset:
             return 1
         spread = self.generators[-1]
         window: list[int] = []
-        states: dict[tuple[int, ...], int] = {(): 1}
+        # bit j of a state records whether window[j] is in the ideal
+        states: dict[int, int] = {0: 1}
         for g in gaps:
             keep = 0
             while keep < len(window) and window[keep] < g - spread:
                 keep += 1
             if keep:
-                merged: dict[tuple[int, ...], int] = {}
+                merged: dict[int, int] = {}
                 for key, cnt in states.items():
-                    short = key[keep:]
+                    short = key >> keep
                     merged[short] = merged.get(short, 0) + cnt
                 states = merged
                 window = window[keep:]
-            cover_bits = [window.index(c) for c in self.lower_covers(g)]
-            nxt: dict[tuple[int, ...], int] = {}
+            need = sum(1 << window.index(c) for c in self._lower[g])
+            new_bit = 1 << len(window)
+            nxt: dict[int, int] = {}
             for key, cnt in states.items():
-                excl = key + (0,)
-                nxt[excl] = nxt.get(excl, 0) + cnt
-                if all(key[b] for b in cover_bits):
-                    incl = key + (1,)
-                    nxt[incl] = nxt.get(incl, 0) + cnt
+                nxt[key] = nxt.get(key, 0) + cnt
+                if key & need == need:
+                    nxt[key | new_bit] = cnt
             states = nxt
             window.append(g)
             if max_states is not None and len(states) > max_states:

@@ -293,33 +293,46 @@ def _coprime_pairs(max_sum: int) -> list[tuple[int, int]]:
 
 def _check_pair(s: int, t: int) -> tuple[bool, str]:
     poset = build_gap_poset((s, t))
-    ideals = list(poset.iter_lower_ideals())
+    n_ideals = 0
+    core_parts = set()
+    all_cores = True
+    for ideal in poset.iter_lower_ideals():
+        core = ideal_to_core(poset, ideal)
+        n_ideals += 1
+        core_parts.add(core.parts)
+        all_cores = all_cores and core.is_multicore((s, t))
     n_paths = sum(1 for _ in enumerate_rect_paths(s, t))
     formula = count_rect_paths(s, t)
-    cores = [ideal_to_core(poset, ideal) for ideal in ideals]
-    distinct = len(set(cores)) == len(cores)
-    all_cores = all(c.is_multicore((s, t)) for c in cores)
-    ok = len(ideals) == n_paths == formula and distinct and all_cores
-    detail = f"ideals={len(ideals)} paths={n_paths} formula={formula} cores ok={distinct and all_cores}"
+    distinct = len(core_parts) == n_ideals
+    ok = n_ideals == n_paths == formula and distinct and all_cores
+    detail = f"ideals={n_ideals} paths={n_paths} formula={formula} cores ok={distinct and all_cores}"
     return ok, detail if not ok else ""
 
 
 def _check_consecutive(n: int, k: int) -> tuple[bool, str]:
     poset = consecutive_poset(n, k)
-    ideals = set(poset.iter_lower_ideals())
-    paths = list(enumerate_gd(n, k))
-    images = {gd_to_ideal(path, poset) for path in paths}
-    cores = [ideal_to_core(poset, ideal) for ideal in ideals]
-    distinct = len(set(cores)) == len(cores)
-    all_cores = all(c.is_multicore(poset.generators) for c in cores)
+    ideals = set()
+    core_parts = set()
+    all_cores = True
+    for ideal in poset.iter_lower_ideals():
+        ideals.add(ideal)
+        core = ideal_to_core(poset, ideal)
+        core_parts.add(core.parts)
+        all_cores = all_cores and core.is_multicore(poset.generators)
+    n_paths = 0
+    images = set()
+    for path in enumerate_gd(n, k):
+        n_paths += 1
+        images.add(gd_to_ideal(path, poset))
+    distinct = len(core_parts) == len(ideals)
     ok = (
-        len(paths) == len(ideals) == multi_catalan(n, k)
+        n_paths == len(ideals) == multi_catalan(n, k)
         and images == ideals
         and distinct
         and all_cores
     )
     detail = (
-        f"paths={len(paths)} ideals={len(ideals)} multi_catalan={multi_catalan(n, k)} "
+        f"paths={n_paths} ideals={len(ideals)} multi_catalan={multi_catalan(n, k)} "
         f"bijection={'yes' if images == ideals else 'NO'}"
     )
     return ok, detail if not ok else ""

@@ -221,3 +221,29 @@ def test_verify_jobs_flag(capsys):
     seq = run_cli(capsys, "verify", "gf", "--max-p", "2", "--terms", "10")
     par = run_cli(capsys, "verify", "gf", "--max-p", "2", "--terms", "10", "--jobs", "3")
     assert seq == par
+
+
+def test_verify_rejects_non_positive_jobs(capsys):
+    for jobs in ("0", "-3"):
+        code, out, err = run_cli(capsys, "verify", "gf", "--max-p", "2", "--jobs", jobs)
+        assert code == 1 and out == ""
+        assert err.startswith("usage:") and "--jobs: must be >= 1" in err
+
+
+def test_deep_posets_and_paths_do_not_hit_the_recursion_limit(capsys):
+    assert run_cli(capsys, "paths", "rect", "--s", "1", "--t", "1200") == (0, "1 paths\n", "")
+    assert run_cli(capsys, "ideals", "--gens", "2,2001") == (0, "1001 lower ideals\n", "")
+    assert run_cli(capsys, "cores", "--gens", "2,2001", "--count-only") == (0, "1001\n", "")
+
+
+def test_cores_count_only_counts_without_enumerating(capsys, monkeypatch):
+    from simcores.posets import GapPoset
+
+    listed = run_cli(capsys, "cores", "--gens", "5,7,13")[1]
+
+    def no_enumeration(self, max_items=None):
+        raise AssertionError("cores --count-only enumerated the ideals")
+
+    monkeypatch.setattr(GapPoset, "iter_lower_ideals", no_enumeration)
+    code, out, _ = run_cli(capsys, "cores", "--gens", "5,7,13", "--count-only")
+    assert code == 0 and listed == f"{out.strip()} simultaneous cores\n"

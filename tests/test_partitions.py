@@ -37,6 +37,19 @@ def test_constructor():
         Partition((2, -1))
 
 
+def test_constructor_error_messages():
+    for parts, message in [
+        ([3, 0, 1], "partition parts must be positive, got 0"),
+        ([1, 2], "parts must be weakly decreasing, got [1, 2]"),
+        ([2, -1], "partition parts must be positive, got -1"),
+        ([3, 1, 2, 0], "parts must be weakly decreasing, got [3, 1, 2]"),
+        ([0, 0, -2], "partition parts must be positive, got 0"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            Partition(parts)
+        assert str(err.value) == message, parts
+
+
 def test_hook_length_examples():
     big = Partition((6, 3, 1, 1))
     assert big.hook_length(1, 1) == 9

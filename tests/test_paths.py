@@ -41,8 +41,43 @@ def test_enumerate_rect_paths_counts():
     assert sum(1 for _ in enumerate_rect_paths(1, 2)) == 1
     paths = list(enumerate_rect_paths(5, 7))
     assert len(paths) == 66 == len(set(paths))
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(EnumerationCapError) as err:
         list(enumerate_rect_paths(5, 7, max_items=10))
+    assert str(err.value).startswith("(5,7) rectangle paths exceeds the cap of 10")
+    assert len(list(enumerate_rect_paths(5, 7, max_items=66))) == 66
+
+
+def recursive_walks(moves, admissible, target):
+    # reference: the recursive depth-first walk, moves tried in order
+    out = []
+
+    def rec(x, y, steps):
+        if (x, y) == target:
+            out.append(tuple(steps))
+            return
+        for name, dx, dy in moves:
+            if admissible(x + dx, y + dy):
+                rec(x + dx, y + dy, steps + [name])
+
+    rec(0, 0, [])
+    return out
+
+
+def test_path_enumeration_order_matches_recursive_reference():
+    for s, t in [(1, 1), (1, 6), (3, 5), (5, 3), (5, 7), (4, 9)]:
+        want = recursive_walks([("N", 0, 1), ("E", 1, 0)],
+                               lambda x, y: y <= s and x <= t and t * y >= s * x, (t, s))
+        assert [p.steps for p in enumerate_rect_paths(s, t)] == want, (s, t)
+    for n, k in [(1, 1), (5, 1), (6, 2), (7, 3), (9, 4)]:
+        moves = [(f"N{k}", 0, k), (f"E{k}", k, 0)] + [(f"D{i}", i, i) for i in range(1, k)]
+        want = recursive_walks(moves, lambda x, y: y <= n and x <= y, (n, n))
+        assert [p.steps for p in enumerate_gd(n, k)] == want, (n, k)
+
+
+def test_long_generalized_paths_have_no_depth_limit():
+    # 2400 steps: deeper than the interpreter's recursion limit
+    first = next(enumerate_gd(1200, 1))
+    assert first.steps == ("N1",) * 1200 + ("E1",) * 1200
 
 
 def test_rect_path_validation():
@@ -96,8 +131,9 @@ def test_enumerate_gd():
         for k in range(1, 5):
             assert sum(1 for _ in enumerate_gd(n, k)) == count_gd(n, k), (n, k)
     assert {p.steps for p in enumerate_gd(2, 3)} == {("D1", "D1"), ("D2",)}
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(EnumerationCapError) as err:
         list(enumerate_gd(6, 1, max_items=3))
+    assert str(err.value).startswith("generalized (6,1) paths exceeds the cap of 3")
 
 
 def test_gd_validation():
@@ -157,6 +193,18 @@ def test_gd_to_ideal_4_3_matches_antichain():
     images = {gd_to_ideal(p, poset) for p in enumerate_gd(4, 3)}
     assert images == {frozenset(s) for s in
                       [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]}
+
+
+def test_diagonal_labels_are_a_fresh_copy():
+    poset = consecutive_poset(6, 2)
+    paths = list(enumerate_gd(6, 2))
+    before = [gd_to_ideal(p, poset) for p in paths]
+    labels = diagonal_cell_labels(6, 2)
+    original = dict(labels)
+    labels[(0, 1)] = 999
+    del labels[(1, 2)]
+    assert diagonal_cell_labels(6, 2) == original
+    assert [gd_to_ideal(p, poset) for p in paths] == before
 
 
 def test_diagonal_labels_cover_exactly_the_gaps():

@@ -112,10 +112,38 @@ def test_ideal_enumeration_is_deterministic_and_valid():
     assert not poset.is_lower_ideal({1, 99})
 
 
+def recursive_lower_ideals(poset):
+    # reference: the include/exclude recursion, exclusion branch first
+    gaps = poset.gaps
+    included = set()
+    out = []
+
+    def rec(i):
+        if i == len(gaps):
+            out.append(frozenset(included))
+            return
+        rec(i + 1)
+        if all(c in included for c in poset.lower_covers(gaps[i])):
+            included.add(gaps[i])
+            rec(i + 1)
+            included.discard(gaps[i])
+
+    rec(0)
+    return out
+
+
+def test_ideal_enumeration_matches_recursive_reference():
+    for gens in [(5, 7), (4, 6, 9), (12, 13, 14), (2, 3), (1,), (3, 4, 5)]:
+        poset = build_gap_poset(gens)
+        assert list(poset.iter_lower_ideals()) == recursive_lower_ideals(poset), gens
+
+
 def test_enumeration_cap():
     poset = build_gap_poset((5, 7))
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(EnumerationCapError) as err:
         list(poset.iter_lower_ideals(max_items=10))
+    assert str(err.value).startswith("lower ideals of P_[5, 7]")
+    assert len(list(poset.iter_lower_ideals(max_items=66))) == 66
     with pytest.raises(EnumerationCapError):
         poset.count_lower_ideals(max_states=2)
 
@@ -195,8 +223,9 @@ def test_ideal_core_bijection_examples():
 
 def test_ideal_to_core_rejects_non_ideal():
     p = build_gap_poset((5, 7, 13))
-    with pytest.raises(ValueError):
-        ideal_to_core(p, {16})
+    for not_an_ideal in ({16}, {6}, {1, 2, 16}, {1, 99}):
+        with pytest.raises(ValueError):
+            ideal_to_core(p, not_an_ideal)
 
 
 def test_core_to_ideal_rejects_non_core():
