@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .errors import SimcoresError
+from .errors import EnumerationCapError, SimcoresError
 from .partitions import Partition, render_ferrers
 from .paths import (
     count_gd,
@@ -219,10 +219,13 @@ def cmd_ideals(args) -> int:
 
 def cmd_cores(args) -> int:
     poset = build_gap_poset(args.gens)
-    if (args.count_only and not (args.list_items or args.total_size or args.from_file)
-            and args.format == "plain"):
-        print(poset.count_lower_ideals(
-            max_states=args.max_items if args.max_items is not None else COUNT_CAP))
+    if args.count_only and not args.from_file and args.format == "plain":
+        # counted by the window DP; --max-items still caps the number of cores
+        count = poset.count_lower_ideals(max_states=COUNT_CAP)
+        if args.max_items is not None and count > args.max_items:
+            raise EnumerationCapError(
+                f"lower ideals of P_{list(poset.generators)}", args.max_items)
+        print(count)
         return 0
     cores = [
         ideal_to_core(poset, ideal)
@@ -245,9 +248,6 @@ def cmd_cores(args) -> int:
         if args.list_items:
             payload["cores"] = [c.to_json() for c in cores]
         print(json.dumps(payload))
-        return 0
-    if args.count_only:
-        print(len(cores))
         return 0
     print(f"{len(cores)} simultaneous cores")
     if args.total_size:

@@ -44,10 +44,7 @@ class GapPoset:
         self._gapset = frozenset(self.gaps)
         # lower covers of every gap, in generator order; built once and read by
         # covers, lower_covers, is_lower_ideal and both ideal algorithms
-        self._lower = {
-            a: tuple(a - s for s in self.generators if (a - s) in self._gapset)
-            for a in self.gaps
-        }
+        self._lower = {a: self._covers_below(a) for a in self.gaps}
         self.covers = tuple((a, c) for a in self.gaps for c in self._lower[a])
 
     def is_representable(self, m: int) -> bool:
@@ -69,11 +66,12 @@ class GapPoset:
             raise ValueError(f"{b} and {a} must both be gaps of {list(self.generators)}")
         return b == a or (a - b > 0 and self.is_representable(a - b))
 
+    def _covers_below(self, a: int) -> tuple[int, ...]:
+        return tuple(a - s for s in self.generators if (a - s) in self._gapset)
+
     def lower_covers(self, a: int) -> tuple[int, ...]:
         covers = self._lower.get(a)
-        if covers is None:  # a is not a gap
-            return tuple(a - s for s in self.generators if (a - s) in self._gapset)
-        return covers
+        return covers if covers is not None else self._covers_below(a)
 
     def is_lower_ideal(self, subset: Iterable[int]) -> bool:
         """Downward closure check; closure under covers equals closure under the order."""

@@ -247,3 +247,12 @@ def test_cores_count_only_counts_without_enumerating(capsys, monkeypatch):
     monkeypatch.setattr(GapPoset, "iter_lower_ideals", no_enumeration)
     code, out, _ = run_cli(capsys, "cores", "--gens", "5,7,13", "--count-only")
     assert code == 0 and listed == f"{out.strip()} simultaneous cores\n"
+
+
+def test_cores_count_only_max_items_caps_cores(capsys):
+    code, out, err = run_cli(capsys, "cores", "--gens", "5,7", "--count-only", "--max-items", "65")
+    assert code == 1 and out == ""
+    assert "lower ideals of P_[5, 7] exceeds the cap of 65" in err
+    assert run_cli(capsys, "cores", "--gens", "5,7", "--count-only", "--max-items", "66") == (0, "66\n", "")
+    # --list and --total-size do not change a plain count
+    assert run_cli(capsys, "cores", "--gens", "5,7", "--count-only", "--list", "--total-size") == (0, "66\n", "")
