@@ -54,14 +54,22 @@ def _gens_arg(text: str) -> tuple[int, ...]:
     return gens
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, minimum: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _shape_arg(text: str) -> Partition:
@@ -86,7 +94,7 @@ def build_parser() -> _Parser:
     p_ideals.add_argument("--count-only", action="store_true")
     p_ideals.add_argument("--list", action="store_true", dest="list_items")
     p_ideals.add_argument("--format", choices=("plain", "json"), default="plain")
-    p_ideals.add_argument("--max-items", type=int, default=None)
+    p_ideals.add_argument("--max-items", type=_positive_int, default=None)
     p_ideals.add_argument("--from-file", default=None, help="re-check a previous JSON listing")
     p_ideals.set_defaults(func=cmd_ideals)
 
@@ -96,7 +104,7 @@ def build_parser() -> _Parser:
     p_cores.add_argument("--list", action="store_true", dest="list_items")
     p_cores.add_argument("--total-size", action="store_true")
     p_cores.add_argument("--format", choices=("plain", "json"), default="plain")
-    p_cores.add_argument("--max-items", type=int, default=None)
+    p_cores.add_argument("--max-items", type=_positive_int, default=None)
     p_cores.add_argument("--from-file", default=None)
     p_cores.set_defaults(func=cmd_cores)
 
@@ -106,7 +114,7 @@ def build_parser() -> _Parser:
     p_rect.add_argument("--s", type=int, required=True)
     p_rect.add_argument("--t", type=int, required=True)
     p_gd = paths_sub.add_parser("gd", help="generalized paths with jump-k steps")
-    p_gd.add_argument("--n", type=int, required=True)
+    p_gd.add_argument("--n", type=_positive_int, required=True)
     p_gd.add_argument("--k", type=int, required=True)
     for sp, fn in ((p_rect, cmd_paths_rect), (p_gd, cmd_paths_gd)):
         sp.add_argument("--count-only", action="store_true")
@@ -115,14 +123,14 @@ def build_parser() -> _Parser:
         sp.add_argument("--labels", action="store_true",
                         help="print diagonal cell labels in the SVG (gd only)")
         sp.add_argument("--format", choices=("plain", "json"), default="plain")
-        sp.add_argument("--max-items", type=int, default=None)
+        sp.add_argument("--max-items", type=_positive_int, default=None)
         sp.add_argument("--from-file", default=None)
         sp.set_defaults(func=fn)
 
     p_count = sub.add_parser("count", help="closed-form counts")
     count_sub = p_count.add_subparsers(dest="count_kind")
     p_mc = count_sub.add_parser("multi-catalan", help="lower ideals of a consecutive-run poset")
-    p_mc.add_argument("--s", type=int, required=True)
+    p_mc.add_argument("--s", type=_non_negative_int, required=True)
     p_mc.add_argument("--p", type=int, required=True)
     p_mc.set_defaults(func=cmd_count_multi_catalan)
     p_cr = count_sub.add_parser("rect", help="cycle-lemma rectangle path count")
@@ -189,7 +197,7 @@ def _ideal_listing(poset, max_items) -> list[list[int]]:
 def cmd_ideals(args) -> int:
     poset = build_gap_poset(args.gens)
     if args.from_file:
-        recorded = json.load(open(args.from_file))
+        recorded = _load_json(args.from_file)
         ideals = _ideal_listing(poset, args.max_items)
         fresh = {
             "generators": list(poset.generators),
@@ -233,7 +241,7 @@ def cmd_cores(args) -> int:
             max_items=args.max_items if args.max_items is not None else LIST_CAP)
     ]
     if args.from_file:
-        recorded = json.load(open(args.from_file))
+        recorded = _load_json(args.from_file)
         fresh = {
             "generators": list(poset.generators),
             "count": str(len(cores)),
@@ -261,7 +269,7 @@ def cmd_cores(args) -> int:
 def _emit_paths(args, kind: str, count_fn, enum_fn, params: dict) -> int:
     cap = args.max_items if args.max_items is not None else LIST_CAP
     if args.from_file:
-        recorded = json.load(open(args.from_file))
+        recorded = _load_json(args.from_file)
         fresh = dict(params)
         fresh["paths"] = [p.to_json() for p in enum_fn(cap)]
         fresh["count"] = str(len(fresh["paths"]))
@@ -359,6 +367,11 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 2
 
 
+def _load_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _report_roundtrip(kind: str, recorded, fresh) -> int:
     # every canonical field must match; extra recorded keys are fine
     if isinstance(recorded, dict) and all(recorded.get(k) == v for k, v in fresh.items()):
@@ -376,7 +389,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (SimcoresError, ValueError) as exc:
+    except (SimcoresError, ValueError, OSError) as exc:
         print(f"simcores: {exc}", file=sys.stderr)
         return 1
 

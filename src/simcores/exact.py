@@ -1,8 +1,8 @@
 """Exact integer combinatorics and determinants over Z and Z[q].
 
-Matrices are plain sequences of row sequences.  Determinants use cofactor
-expansion for dimension <= 6 and fraction-free (Bareiss) elimination above;
-every division in the elimination is exact by construction and checked.
+Matrices are plain sequences of row sequences.  Determinants use
+fraction-free (Bareiss) elimination at every dimension; every division in
+the elimination is exact by construction and checked.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ import math
 
 from .errors import ExactDivisionError
 from .qpoly import QPolynomial
-
-_COFACTOR_LIMIT = 6
 
 
 def binomial(n: int, k: int) -> int:
@@ -33,30 +31,11 @@ def catalan_number(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def _check_square(rows) -> int:
+def _check_square(rows) -> None:
     n = len(rows)
     for r in rows:
         if len(r) != n:
             raise ValueError(f"matrix is not square: {n} rows, a row of length {len(r)}")
-    return n
-
-
-def _det_cofactor(rows, zero):
-    n = len(rows)
-    if n == 0:
-        return zero + 1
-    if n == 1:
-        return rows[0][0]
-    total = zero
-    minor_rows = rows[1:]
-    sign = 1
-    for j in range(n):
-        a = rows[0][j]
-        if a:
-            minor = [[row[c] for c in range(n) if c != j] for row in minor_rows]
-            total = total + sign * a * _det_cofactor(minor, zero)
-        sign = -sign
-    return total
 
 
 def _det_bareiss(rows, zero, divide):
@@ -64,6 +43,8 @@ def _det_bareiss(rows, zero, divide):
     n = len(m)
     sign = 1
     prev = zero + 1
+    if not n:
+        return prev
     for k in range(n - 1):
         if not m[k][k]:
             for r in range(k + 1, n):
@@ -91,18 +72,14 @@ def _int_exact_div(a: int, b: int) -> int:
 
 def det_exact(rows) -> int:
     """Exact determinant of a square integer matrix; dimension 0 gives 1."""
-    n = _check_square(rows)
-    if n <= _COFACTOR_LIMIT:
-        return _det_cofactor(rows, 0)
+    _check_square(rows)
     return _det_bareiss(rows, 0, _int_exact_div)
 
 
 def det_qpoly(rows) -> QPolynomial:
     """Exact determinant of a square matrix of QPolynomial entries."""
-    n = _check_square(rows)
+    _check_square(rows)
     coerced = [[e if isinstance(e, QPolynomial) else QPolynomial((e,)) for e in r] for r in rows]
-    if n <= _COFACTOR_LIMIT:
-        return _det_cofactor(coerced, QPolynomial.zero())
     return _det_bareiss(coerced, QPolynomial.zero(), lambda a, b: a.exact_div(b))
 
 

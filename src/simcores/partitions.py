@@ -7,6 +7,7 @@ on orientation, so only the diagram rendering offers an english flag.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .errors import EnumerationCapError, NotACoreError
@@ -98,24 +99,25 @@ class Partition:
 
     def is_multicore(self, generators: Iterable[int]) -> bool:
         """Simultaneous core: an s-core for every s in the generator set."""
-        gens = sorted(set(int(g) for g in generators))
-        if not gens:
-            raise ValueError("generator set must be non-empty")
-        for h in self.hooks():
-            for g in gens:
-                if h % g == 0:
-                    return False
-        return True
+        return self._first_divisible_hook(generators) is None
 
     def check_multicore(self, generators: Iterable[int]) -> None:
         """Raise NotACoreError naming the offending hook and divisor."""
+        found = self._first_divisible_hook(generators)
+        if found is not None:
+            raise NotACoreError(self.parts, *found)
+
+    def _first_divisible_hook(self, generators: Iterable[int]) -> tuple[int, int] | None:
+        """First (hook, generator) in row-major, increasing-generator order
+        with the generator dividing the hook; None for a simultaneous core."""
         gens = sorted(set(int(g) for g in generators))
         if not gens:
             raise ValueError("generator set must be non-empty")
         for h in self.hooks():
             for g in gens:
                 if h % g == 0:
-                    raise NotACoreError(self.parts, h, g)
+                    return h, g
+        return None
 
     def first_column_hooks(self) -> frozenset[int]:
         """The set {parts[i] + k - 1 - i}: hook lengths of the first column."""
@@ -141,57 +143,44 @@ def partition_from_hooks(hooks: Iterable[int]) -> Partition:
 def subpartitions(p: Partition, max_items: int | None = None) -> Iterator[Partition]:
     """All partitions contained in p, the empty partition and p included.
 
-    Streams results; with max_items set, raises EnumerationCapError once the
-    cap would be exceeded (no silent truncation).
+    Streams results in lexicographic order of the zero-padded rows; with
+    max_items set, raises EnumerationCapError once the cap would be exceeded
+    (no silent truncation).
     """
     parts = p.parts
+    rows = [0] * len(parts)
     count = 0
-
-    def rec(i: int, cap: int, prefix: list[int]) -> Iterator[Partition]:
-        nonlocal count
-        if i == len(parts):
-            count += 1
-            if max_items is not None and count > max_items:
-                raise EnumerationCapError(f"subpartitions of {list(parts)}", max_items)
-            yield Partition(prefix)
+    while True:
+        count += 1
+        if max_items is not None and count > max_items:
+            raise EnumerationCapError(f"subpartitions of {list(parts)}", max_items)
+        yield Partition(rows)
+        # step the last row still below min(parts[i], previous row); zero the rest
+        for i in range(len(rows) - 1, -1, -1):
+            if rows[i] < (parts[i] if i == 0 else min(parts[i], rows[i - 1])):
+                rows[i] += 1
+                rows[i + 1:] = [0] * (len(rows) - 1 - i)
+                break
+        else:
             return
-        for v in range(min(cap, parts[i]) + 1):
-            prefix.append(v)
-            yield from rec(i + 1, v, prefix)
-            prefix.pop()
-
-    yield from rec(0, parts[0] if parts else 0, [])
 
 
 def count_subpartitions(p: Partition) -> int:
     """Number of partitions contained in p, without materializing them."""
     parts = p.parts
-    memo: dict[tuple[int, int], int] = {}
-
-    def rec(i: int, cap: int) -> int:
-        if i == len(parts):
-            return 1
-        cap = min(cap, parts[i])
-        key = (i, cap)
-        if key not in memo:
-            memo[key] = sum(rec(i + 1, v) for v in range(cap + 1))
-        return memo[key]
-
-    return rec(0, parts[0] if parts else 0)
+    # ways[v]: fillings of the rows so far whose last row is v; the row above
+    # the first is taken to be parts[0], which caps nothing
+    ways = [0] * (parts[0] if parts else 0) + [1]
+    for bound in parts:
+        ways = list(accumulate(reversed(ways)))[::-1][:bound + 1]
+    return sum(ways)
 
 
 def partitions_in_box(max_parts: int, max_part: int) -> Iterator[Partition]:
     """All partitions with at most max_parts parts, each at most max_part."""
-    def rec(rows_left: int, cap: int, prefix: list[int]) -> Iterator[Partition]:
-        yield Partition(prefix)
-        if rows_left == 0:
-            return
-        for v in range(1, cap + 1):
-            prefix.append(v)
-            yield from rec(rows_left - 1, v, prefix)
-            prefix.pop()
-
-    yield from rec(max_parts, max_part, [])
+    if max_parts < 0 or max_part < 0:
+        raise ValueError(f"box sides must be >= 0, got ({max_parts}, {max_part})")
+    return subpartitions(Partition([max_part] * max_parts))
 
 
 def render_ferrers(p: Partition, hooks: bool = False, orientation: str = "french") -> str:

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import EnumerationCapError, NonCoprimeError
 from .exact import binomial
 from .partitions import Partition
-from .posets import GapPoset, consecutive_poset
+from .posets import GapPoset, consecutive_poset, multi_catalan
 
 DEFAULT_LIST_CAP = 10**6
 
@@ -226,18 +226,12 @@ def count_gd(n: int, k: int) -> int:
     """Number of generalized (n,k) paths via first-return decomposition.
 
     Value 1 for n <= 0 by convention; a first diagonal return at point s < k
-    forces a leading D_s step, at s >= k a leading Nk and a closing Ek.
+    forces a leading D_s step, at s >= k a leading Nk and a closing Ek.  That
+    is the multi-Catalan rule, so the count is read from its shared table.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    return _count_gd(n, k)
-
-
-@lru_cache(maxsize=None)
-def _count_gd(n: int, k: int) -> int:
-    if n <= 0:
-        return 1
-    return sum(_count_gd(s - k, k) * _count_gd(n - s, k) for s in range(1, n + 1))
+    return multi_catalan(n, k)
 
 
 def enumerate_gd(n: int, k: int, max_items: int | None = DEFAULT_LIST_CAP) -> Iterator[GeneralizedDyckPath]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import chain
+from operator import mul
 from typing import Iterable, Iterator
 
 from .errors import EnumerationCapError, InfinitePosetError
@@ -233,18 +234,32 @@ def consecutive_poset(s: int, p: int) -> GapPoset:
     return build_gap_poset(range(s, s + p + 1))
 
 
-@lru_cache(maxsize=None)
+# p -> [M(0), M(1), ...]; a list is never mutated once published here
+_MULTI_CATALAN: dict[int, list[int]] = {}
+
+
 def multi_catalan(s: int, p: int) -> int:
     """Number of lower ideals of the consecutive poset for {s, ..., s+p}.
 
-    First-return recursion with value 1 for s <= 0; p = 1 gives Catalan
-    numbers and p = 2 gives Motzkin numbers.
+    First-return rule M(s) = sum_{i=1..s} M(i-p) M(s-i), with M(s) = 1 for
+    s <= 0; p = 1 gives Catalan numbers and p = 2 gives Motzkin numbers.
+    One table per p is kept and grown bottom-up on demand.
     """
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
     if s <= 0:
         return 1
-    return sum(multi_catalan(i - p, p) * multi_catalan(s - i, p) for i in range(1, s + 1))
+    table = _MULTI_CATALAN.get(p, [1])
+    if s >= len(table):
+        # extend a private copy and publish it by one assignment, so that
+        # --jobs worker threads never see a half-built table
+        table = list(table)
+        for n in range(len(table), s + 1):
+            # i <= p contributes M(n-i); i = p+j contributes M(j) M(m-j), m = n-p
+            m = max(n - p, 0)
+            table.append(sum(table[m:n]) + sum(map(mul, table[1:m + 1], reversed(table[:m]))))
+        _MULTI_CATALAN[p] = table
+    return table[s]
 
 
 def ideal_to_core(poset: GapPoset, ideal: Iterable[int]) -> Partition:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from simcores.cli import main
+from simcores.exact import binomial, catalan_number
 from simcores.posets import build_gap_poset, multi_catalan
 
 
@@ -28,11 +29,10 @@ def test_count_multi_catalan(capsys):
 def test_domain_errors_exit_1_without_traceback(capsys):
     code, _, err = run_cli(capsys, "count", "multi-catalan", "--s", "5", "--p", "0")
     assert code == 1 and "p >= 1" in err
-    code, _, err = run_cli(capsys, "paths", "gd", "--n", "0", "--k", "2", "--list")
-    assert code == 1 and "n >= 1" in err
-    # counting n <= 0 stays at the conventional value 1
-    code, out, _ = run_cli(capsys, "paths", "gd", "--n", "0", "--k", "2", "--count-only")
-    assert code == 0 and out.strip() == "1"
+    # listing and counting reject n <= 0 alike
+    for mode in ("--list", "--count-only"):
+        code, out, err = run_cli(capsys, "paths", "gd", "--n", "0", "--k", "2", mode)
+        assert code == 1 and out == "" and "--n: must be >= 1, got 0" in err
 
 
 def test_poset_plain_and_json(capsys):
@@ -234,6 +234,11 @@ def test_deep_posets_and_paths_do_not_hit_the_recursion_limit(capsys):
     assert run_cli(capsys, "paths", "rect", "--s", "1", "--t", "1200") == (0, "1 paths\n", "")
     assert run_cli(capsys, "ideals", "--gens", "2,2001") == (0, "1001 lower ideals\n", "")
     assert run_cli(capsys, "cores", "--gens", "2,2001", "--count-only") == (0, "1001\n", "")
+    assert run_cli(capsys, "count", "multi-catalan", "--s", "600", "--p", "1") == (
+        0, f"{catalan_number(600)}\n", "")
+    motzkin_600 = sum(binomial(600, 2 * k) * catalan_number(k) for k in range(301))
+    assert run_cli(capsys, "paths", "gd", "--n", "600", "--k", "2", "--count-only") == (
+        0, f"{motzkin_600}\n", "")
 
 
 def test_cores_count_only_counts_without_enumerating(capsys, monkeypatch):
@@ -256,3 +261,48 @@ def test_cores_count_only_max_items_caps_cores(capsys):
     assert run_cli(capsys, "cores", "--gens", "5,7", "--count-only", "--max-items", "66") == (0, "66\n", "")
     # --list and --total-size do not change a plain count
     assert run_cli(capsys, "cores", "--gens", "5,7", "--count-only", "--list", "--total-size") == (0, "66\n", "")
+
+
+def assert_usage_error(capsys, *argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage:") and message in err
+
+
+def test_count_multi_catalan_rejects_negative_s(capsys):
+    assert_usage_error(capsys, "count", "multi-catalan", "--s", "-5", "--p", "2",
+                       message="--s: must be >= 0, got -5")
+    assert run_cli(capsys, "count", "multi-catalan", "--s", "0", "--p", "2") == (0, "1\n", "")
+
+
+def test_paths_gd_rejects_non_positive_n(capsys):
+    for n in ("0", "-5"):
+        assert_usage_error(capsys, "paths", "gd", "--n", n, "--k", "2", "--count-only",
+                           message=f"--n: must be >= 1, got {n}")
+
+
+def test_max_items_must_be_positive(capsys):
+    for argv in (("ideals", "--gens", "5,7"), ("cores", "--gens", "5,7"),
+                 ("paths", "rect", "--s", "3", "--t", "5"), ("paths", "gd", "--n", "3", "--k", "2")):
+        for cap in ("0", "-1"):
+            assert_usage_error(capsys, *argv, "--max-items", cap,
+                               message=f"--max-items: must be >= 1, got {cap}")
+
+
+def test_missing_from_file_exits_1_without_traceback(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    for argv in (("ideals", "--gens", "5,7"), ("cores", "--gens", "5,7"),
+                 ("paths", "rect", "--s", "3", "--t", "5")):
+        code, out, err = run_cli(capsys, *argv, "--from-file", missing)
+        assert code == 1 and out == ""
+        assert err.startswith("simcores:") and "missing.json" in err
+
+
+def test_conjecture_strategy_mismatch_is_a_failure(capsys, monkeypatch):
+    import simcores.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "total_core_size_via_paths", lambda s: -1)
+    lhs, _ = verify_mod.conjecture_total_size(5)
+    code, out, _ = run_cli(capsys, "verify", "conjecture", "--min-s", "5", "--max-s", "5")
+    assert code == 2 and out.startswith("FAIL")
+    assert f"first counterexample: s=5: the two enumeration strategies disagree ({lhs} vs -1)" in out

@@ -173,6 +173,32 @@ def test_subpartition_count_matches_determinant():
 def test_partitions_in_box_count():
     assert sum(1 for _ in partitions_in_box(5, 5)) == 252
     assert sum(1 for _ in partitions_in_box(4, 4)) == 70
+    for sides in ((-1, 3), (3, -1)):
+        with pytest.raises(ValueError, match="box sides must be >= 0"):
+            partitions_in_box(*sides)
+
+
+def box_partitions_reference(max_parts, max_part):
+    # independent recursive generator: each prefix, then its extensions by 1..cap
+    def rec(rows_left, cap, prefix):
+        yield tuple(prefix)
+        if rows_left:
+            for v in range(1, cap + 1):
+                yield from rec(rows_left - 1, v, prefix + [v])
+
+    return list(rec(max_parts, max_part, []))
+
+
+def test_partitions_in_box_order():
+    for m in range(6):
+        for n in range(6):
+            assert [p.parts for p in partitions_in_box(m, n)] == box_partitions_reference(m, n)
+
+
+def test_long_shapes_do_not_hit_the_recursion_limit():
+    column = Partition([1] * 1500)
+    assert count_subpartitions(column) == 1501
+    assert sum(1 for _ in subpartitions(column)) == 1501
 
 
 def test_render_ferrers():

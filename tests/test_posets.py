@@ -1,10 +1,13 @@
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from simcores.errors import EnumerationCapError, InfinitePosetError, NotACoreError
 from simcores.exact import binomial, catalan_number
+import simcores.posets as posets_mod
 from simcores.partitions import Partition
 from simcores.posets import (
     build_gap_poset,
@@ -196,6 +199,35 @@ def test_multi_catalan_matches_ideal_count():
     for p in range(1, 5):
         for s in range(1, 9):
             assert multi_catalan(s, p) == consecutive_poset(s, p).count_lower_ideals()
+
+
+def gd_lattice_counts(max_n, k):
+    # independent oracle: paths (0,0) -> (n,n) on or above y = x with steps
+    # (0,k), (k,0) and (i,i) for 0 < i < k, counted point by point
+    ways = [[0] * (max_n + 1) for _ in range(max_n + 1)]  # ways[y][x]
+    ways[0][0] = 1
+    steps = [(0, k), (k, 0)] + [(i, i) for i in range(1, k)]
+    for y in range(max_n + 1):
+        for x in range(y + 1):
+            for dx, dy in steps:
+                if y + dy <= max_n and x + dx <= y + dy:
+                    ways[y + dy][x + dx] += ways[y][x]
+    return [ways[n][n] for n in range(max_n + 1)]
+
+
+def test_multi_catalan_table_grows_safely_across_threads(monkeypatch):
+    monkeypatch.setattr(posets_mod, "_MULTI_CATALAN", {})
+    sizes = list(range(120)) * 4
+    random.Random(3).shuffle(sizes)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda s: multi_catalan(s, 3), sizes, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    expected = gd_lattice_counts(119, 3)
+    assert got == [expected[s] for s in sizes]
 
 
 def test_consecutive_poset():
