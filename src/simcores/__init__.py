@@ -4,6 +4,7 @@ from .errors import (
     EnumerationCapError,
     ExactDivisionError,
     InfinitePosetError,
+    InvariantError,
     NonCoprimeError,
     NotACoreError,
     SimcoresError,

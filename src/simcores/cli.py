@@ -1,8 +1,9 @@
 """Command-line front end: construction, enumeration, verification, diagrams.
 
 Exit codes: 0 success, 1 usage or precondition error, 2 a verification
-found a counterexample or an oracle-check mismatch.  Unbounded integers
-(counts, totals, coefficients) are emitted as decimal strings in JSON.
+found a counterexample or an oracle-check mismatch (an internal invariant
+that failed counts as one).  Unbounded integers (counts, totals,
+coefficients) are emitted as decimal strings in JSON, at any length.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .errors import EnumerationCapError, SimcoresError
+from .errors import EnumerationCapError, InvariantError, SimcoresError
 from .partitions import Partition, render_ferrers
 from .paths import (
     count_gd,
@@ -157,13 +158,14 @@ def build_parser() -> _Parser:
     )
     p_verify.add_argument("--min-s", type=int, default=3)
     p_verify.add_argument("--max-s", type=int, default=None)
-    p_verify.add_argument("--max-n", type=int, default=30)
-    p_verify.add_argument("--max-t", type=int, default=12)
-    p_verify.add_argument("--max-p", type=int, default=3)
-    p_verify.add_argument("--terms", type=int, default=20)
-    p_verify.add_argument("--max-sum", type=int, default=16)
-    p_verify.add_argument("--max-path-n", type=int, default=8)
-    p_verify.add_argument("--max-k", type=int, default=3)
+    # the alternating Catalan identity starts at n = 2
+    p_verify.add_argument("--max-n", type=lambda text: _int_at_least(text, 2), default=30)
+    p_verify.add_argument("--max-t", type=_positive_int, default=12)
+    p_verify.add_argument("--max-p", type=_positive_int, default=3)
+    p_verify.add_argument("--terms", type=_positive_int, default=20)
+    p_verify.add_argument("--max-sum", type=_positive_int, default=16)
+    p_verify.add_argument("--max-path-n", type=_positive_int, default=8)
+    p_verify.add_argument("--max-k", type=_positive_int, default=3)
     p_verify.add_argument("--jobs", type=_positive_int, default=1)
     p_verify.add_argument("--format", choices=("plain", "json"), default="plain")
     p_verify.set_defaults(func=cmd_verify)
@@ -344,14 +346,16 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    max_s = args.max_s
+    def max_s(default: int) -> int:
+        return default if args.max_s is None else args.max_s
+
     runners = {
-        "symmetry": lambda: [check_symmetry_range(args.min_s, max_s or 25, jobs=args.jobs)],
+        "symmetry": lambda: [check_symmetry_range(args.min_s, max_s(25), jobs=args.jobs)],
         "popoviciu": lambda: [check_popoviciu_range(args.max_t, jobs=args.jobs)],
         "identity": lambda: [check_catalan_identity_range(args.max_n, jobs=args.jobs)],
-        "motzkin": lambda: [check_motzkin_range(max_s or 20, jobs=args.jobs)],
+        "motzkin": lambda: [check_motzkin_range(max_s(20), jobs=args.jobs)],
         "gf": lambda: [check_gf_range(args.max_p, args.terms, jobs=args.jobs)],
-        "conjecture": lambda: [check_conjecture_range(args.min_s, max_s or 10, jobs=args.jobs)],
+        "conjecture": lambda: [check_conjecture_range(args.min_s, max_s(10), jobs=args.jobs)],
         "equinumerous": lambda: [equinumerosity_suite(
             args.max_sum, args.max_path_n, args.max_k, jobs=args.jobs)],
         "all": lambda: run_all_checks(jobs=args.jobs),
@@ -382,6 +386,8 @@ def _report_roundtrip(kind: str, recorded, fresh) -> int:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # Python >= 3.11 caps int -> str at 4300 digits
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):
@@ -389,6 +395,9 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
+    except InvariantError as exc:
+        print(f"simcores: internal invariant failed: {exc}", file=sys.stderr)
+        return 2
     except (SimcoresError, ValueError, OSError) as exc:
         print(f"simcores: {exc}", file=sys.stderr)
         return 1

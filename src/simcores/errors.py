@@ -50,3 +50,11 @@ class NotACoreError(SimcoresError):
 
 class ExactDivisionError(SimcoresError):
     """An operation that must be exact (zero remainder, integral result) was not."""
+
+
+class InvariantError(SimcoresError):
+    """An internal invariant failed: a result the mathematics guarantees did not hold.
+
+    Raised instead of `assert`, so the check survives `python -O`.  The CLI
+    reports it with exit code 2, like any other oracle mismatch.
+    """

@@ -1,15 +1,16 @@
 """Exact integer combinatorics and determinants over Z and Z[q].
 
-Matrices are plain sequences of row sequences.  Determinants use
+Matrices are plain sequences of row sequences.  Determinants over Z use
 fraction-free (Bareiss) elimination at every dimension; every division in
-the elimination is exact by construction and checked.
+the elimination is exact by construction and checked.  Determinants over
+Z[q] are reduced to one determinant over Z by Kronecker substitution.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import ExactDivisionError
+from .errors import InvariantError
 from .qpoly import QPolynomial
 
 
@@ -38,11 +39,11 @@ def _check_square(rows) -> None:
             raise ValueError(f"matrix is not square: {n} rows, a row of length {len(r)}")
 
 
-def _det_bareiss(rows, zero, divide):
+def _det_bareiss(rows) -> int:
     m = [list(r) for r in rows]
     n = len(m)
     sign = 1
-    prev = zero + 1
+    prev = 1
     if not n:
         return prev
     for k in range(n - 1):
@@ -53,34 +54,64 @@ def _det_bareiss(rows, zero, divide):
                     sign = -sign
                     break
             else:
-                return zero
+                return 0
+        pivot, pivot_row = m[k][k], m[k]
         for i in range(k + 1, n):
+            row = m[i]
+            lead = row[k]
             for j in range(k + 1, n):
-                m[i][j] = divide(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
-            m[i][k] = zero
-        prev = m[k][k]
+                q, r = divmod(row[j] * pivot - lead * pivot_row[j], prev)
+                if r:
+                    raise InvariantError(f"inexact integer division by {prev} in elimination")
+                row[j] = q
+            row[k] = 0
+        prev = pivot
     det = m[n - 1][n - 1]
     return -det if sign < 0 else det
-
-
-def _int_exact_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise ExactDivisionError(f"inexact integer division {a} / {b} in elimination")
-    return q
 
 
 def det_exact(rows) -> int:
     """Exact determinant of a square integer matrix; dimension 0 gives 1."""
     _check_square(rows)
-    return _det_bareiss(rows, 0, _int_exact_div)
+    return _det_bareiss(rows)
 
 
 def det_qpoly(rows) -> QPolynomial:
-    """Exact determinant of a square matrix of QPolynomial entries."""
+    """Exact determinant of a square matrix of QPolynomial (or int) entries.
+
+    Kronecker substitution: every coefficient of the determinant is bounded
+    in absolute value by bound = prod_i sum_j ||m_ij||_1 (the permanent of
+    the entrywise 1-norms is at most that product), so with
+    B = bound.bit_length() + 1 the integer determinant at q = 2^B, computed
+    over Z by Bareiss, holds each coefficient as one balanced base-2^B digit.
+    Evaluation is a ring homomorphism, so the unpacked polynomial is exact.
+    """
     _check_square(rows)
-    coerced = [[e if isinstance(e, QPolynomial) else QPolynomial((e,)) for e in r] for r in rows]
-    return _det_bareiss(coerced, QPolynomial.zero(), lambda a, b: a.exact_div(b))
+    coeffs = [[(e if isinstance(e, QPolynomial) else QPolynomial((e,))).coeffs for e in r]
+              for r in rows]
+    bound = 1
+    for r in coeffs:
+        bound *= sum(abs(a) for c in r for a in c)
+    shift = bound.bit_length() + 1
+    evaluated = []
+    for r in coeffs:
+        row = []
+        for c in r:
+            acc = 0
+            for a in reversed(c):
+                acc = (acc << shift) + a
+            row.append(acc)
+        evaluated.append(row)
+    value = _det_bareiss(evaluated)
+    mask, half = (1 << shift) - 1, 1 << (shift - 1)
+    digits = []
+    while value:
+        d = value & mask
+        if d >= half:
+            d -= 1 << shift
+        digits.append(d)
+        value = (value - d) >> shift
+    return QPolynomial(digits)
 
 
 def hessenberg_catalan_det(n: int) -> int:

@@ -16,7 +16,7 @@ import math
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .errors import EnumerationCapError, NonCoprimeError
+from .errors import EnumerationCapError, InvariantError, NonCoprimeError
 from .exact import binomial
 from .partitions import Partition
 from .posets import GapPoset, consecutive_poset, multi_catalan
@@ -92,7 +92,8 @@ def count_rect_paths(s: int, t: int) -> int:
     """binomial(s+t, s) / (s+t): the cycle-lemma count, exact division."""
     _require_coprime(s, t)
     q, r = divmod(binomial(s + t, s), s + t)
-    assert r == 0, "cycle-lemma division must be exact for coprime sides"
+    if r:
+        raise InvariantError("cycle-lemma division must be exact for coprime sides")
     return q
 
 
@@ -275,8 +276,8 @@ def gd_to_ideal(path: GeneralizedDyckPath, poset: GapPoset | None = None) -> fro
     inflated path, so the all-vertical-first path maps to the full gap set
     and the diagonal-hugging path to the empty ideal; this orientation is
     the one under which the label sets are downward closed.  The result is
-    asserted to be a lower ideal; a failure there means a labeling bug,
-    not bad input.
+    checked to be a lower ideal; a failure there (InvariantError) means a
+    labeling bug, not bad input.
     """
     n, k = path.n, path.k
     if poset is None:
@@ -293,10 +294,11 @@ def gd_to_ideal(path: GeneralizedDyckPath, poset: GapPoset | None = None) -> fro
     ideal = frozenset(
         label for cx, cy, label in _cell_label_table(n, k) if cy < heights[cx]
     )
-    assert poset.is_lower_ideal(ideal), (
-        f"label set {sorted(ideal)} from path {list(path.steps)} is not a lower "
-        f"ideal of P_{list(poset.generators)}; labeling orientation bug"
-    )
+    if not poset.is_lower_ideal(ideal):
+        raise InvariantError(
+            f"label set {sorted(ideal)} from path {list(path.steps)} is not a lower "
+            f"ideal of P_{list(poset.generators)}; labeling orientation bug"
+        )
     return ideal
 
 

@@ -16,7 +16,7 @@ from itertools import chain
 from operator import mul
 from typing import Iterable, Iterator
 
-from .errors import EnumerationCapError, InfinitePosetError
+from .errors import EnumerationCapError, InfinitePosetError, InvariantError
 from .partitions import Partition, partition_from_hooks
 
 DEFAULT_LIST_CAP = 10**6
@@ -280,8 +280,9 @@ def core_to_ideal(p: Partition, poset: GapPoset) -> frozenset[int]:
     """
     p.check_multicore(poset.generators)
     hooks = p.first_column_hooks()
-    assert poset.is_lower_ideal(hooks), (
-        f"hook set {sorted(hooks)} of a verified core is not an ideal; "
-        "this indicates an internal ordering bug"
-    )
+    if not poset.is_lower_ideal(hooks):
+        raise InvariantError(
+            f"hook set {sorted(hooks)} of a verified core is not an ideal; "
+            "this indicates an internal ordering bug"
+        )
     return hooks

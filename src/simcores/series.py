@@ -8,9 +8,12 @@ undefined rather than silently zero.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 
-from .errors import ExactDivisionError
+from .errors import ExactDivisionError, InvariantError
 
 
 class PowerSeries:
@@ -125,20 +128,27 @@ class PowerSeries:
         return PowerSeries([a / c for a in self.coeffs[power:]], self.order - power)
 
     def sqrt(self) -> "PowerSeries":
-        """Principal square root g with g^2 = self; requires constant term 1."""
+        """Principal square root g with g^2 = self; requires constant term 1.
+
+        Computed in integers: with c = 4 * lcm(denominators), self(c x) is
+        1 + 4u for an integer series u, so its square root H has integer
+        coefficients H_m = (F_m - sum_{i=1}^{m-1} H_i H_{m-i}) / 2, every
+        halving exact and checked.  Then g_m = H_m / c^m.
+        """
         if self.coeffs[0] != 1:
             raise ExactDivisionError(
                 f"series sqrt requires constant coefficient 1, got {self.coeffs[0]}"
             )
-        n = self.order
-        g = [Fraction(0)] * (n + 1)
-        g[0] = Fraction(1)
-        for m in range(1, n + 1):
-            acc = self.coeffs[m]
-            for i in range(1, m):
-                acc -= g[i] * g[m - i]
-            g[m] = acc / 2
-        return PowerSeries(g, n)
+        c = 4 * math.lcm(*(a.denominator for a in self.coeffs))
+        powers = list(accumulate(repeat(c, self.order), mul, initial=1))
+        scaled = [a.numerator * (cm // a.denominator) for a, cm in zip(self.coeffs, powers)]
+        h = [1]
+        for m in range(1, self.order + 1):
+            twice = scaled[m] - sum(map(mul, h[1:m], reversed(h[1:m])))
+            if twice & 1:
+                raise InvariantError(f"series sqrt: the scaled root has an odd coefficient at x^{m}")
+            h.append(twice >> 1)
+        return PowerSeries(map(Fraction, h, powers), self.order)
 
     def integer_coefficients(self) -> list[int]:
         """All coefficients as ints; raises if any is non-integral."""

@@ -11,10 +11,9 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterable
 
-from .errors import NonCoprimeError
+from .errors import InvariantError, NonCoprimeError
 from .exact import binomial, catalan_number, det_exact, det_qpoly, hessenberg_catalan_det
 from .partitions import Partition, subpartitions
 from .paths import count_rect_paths, enumerate_gd, enumerate_rect_paths, gd_to_ideal
@@ -61,16 +60,26 @@ class CheckReport:
         }
 
 
+def _outcome(fn: Callable[[], tuple[bool, str]]) -> tuple[bool, str]:
+    # a failed internal invariant is this instance's failure, not a crash of the run
+    try:
+        return fn()
+    except InvariantError as exc:
+        return False, f"invariant failed: {exc}"
+
+
 def _run_report(statement: str, tested: str,
                 instances: Iterable[tuple[str, Callable[[], tuple[bool, str]]]],
                 jobs: int = 1) -> CheckReport:
     items = list(instances)
+    if not items:
+        raise ValueError(f"{statement}: the range ({tested}) selects no instances")
     start = time.perf_counter()
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(lambda it: it[1](), items))
+            outcomes = list(pool.map(lambda it: _outcome(it[1]), items))
     else:
-        outcomes = [fn() for _, fn in items]
+        outcomes = [_outcome(fn) for _, fn in items]
     report = CheckReport(statement=statement, tested=tested, total=len(items))
     for (label, _), (ok, detail) in zip(items, outcomes):
         if not ok:
@@ -123,25 +132,33 @@ def subpartition_size_polynomial(p: Partition) -> QPolynomial:
 
 
 def catalan_identity(n: int) -> int:
-    """Value of sum_{k=1..n} (-1)^k C(k+1, n-k) C_k; zero for n >= 2."""
+    """Value of sum_{k=1..n} (-1)^k C(k+1, n-k) C_k; zero for n >= 2.
+
+    C(k+1, n-k) vanishes for k < (n-1)/2, so the sum starts at
+    k = ceil((n-1)/2); C_k is carried along by C_{k+1} = C_k * 2(2k+1)/(k+2).
+    """
     if n < 2:
         raise ValueError(f"the alternating Catalan identity needs n >= 2, got {n}")
-    return sum((-1) ** k * binomial(k + 1, n - k) * catalan_number(k) for k in range(1, n + 1))
+    start = n // 2
+    c_k = catalan_number(start)
+    total = 0
+    for k in range(start, n + 1):
+        term = math.comb(k + 1, n - k) * c_k
+        total += -term if k & 1 else term
+        c_k = c_k * 2 * (2 * k + 1) // (k + 2)
+    return total
 
 
 # ---------------------------------------------------------------------------
 # two-generator arithmetic
 
-def _fractional(x: Fraction) -> Fraction:
-    return x - math.floor(x)
-
-
 def popoviciu(s: int, t: int, m: int) -> int:
     """Exact count of representations m = s*k + t*l with k, l >= 0.
 
     Closed form m/(st) - {t^{-1}m/s} - {s^{-1}m/t} + 1 with modular inverses
-    t^{-1}t = 1 (mod s) and s^{-1}s = 1 (mod t); fractional parts are exact
-    rationals, never floats.
+    t^{-1}t = 1 (mod s) and s^{-1}s = 1 (mod t).  Since {a/s} = (a mod s)/s,
+    this is (m - t (t^{-1}m mod s) - s (s^{-1}m mod t)) / (st) + 1, computed
+    in integers with a checked exact division.
     """
     if s < 1 or t < 1:
         raise ValueError(f"generators must be >= 1, got ({s}, {t})")
@@ -150,16 +167,11 @@ def popoviciu(s: int, t: int, m: int) -> int:
         raise NonCoprimeError(s, t, g)
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    t_inv = pow(t, -1, s)
-    s_inv = pow(s, -1, t)
-    value = (
-        Fraction(m, s * t)
-        - _fractional(Fraction(t_inv * m, s))
-        - _fractional(Fraction(s_inv * m, t))
-        + 1
-    )
-    assert value.denominator == 1, f"representation count came out non-integral: {value}"
-    return int(value)
+    numerator = m - t * (pow(t, -1, s) * m % s) - s * (pow(s, -1, t) * m % t)
+    value, rem = divmod(numerator, s * t)
+    if rem:
+        raise InvariantError(f"representation count came out non-integral: {numerator}/{s * t}")
+    return value + 1
 
 
 def count_representations(s: int, t: int, m: int) -> int:
@@ -176,7 +188,8 @@ def frobenius_pair(s: int, t: int) -> int:
         raise NonCoprimeError(s, t, g)
     expected = s * t - s - t
     largest = build_gap_poset((s, t)).frobenius_number
-    assert largest == expected, f"sieve says largest gap {largest}, formula {expected}"
+    if largest != expected:
+        raise InvariantError(f"sieve says largest gap {largest}, formula {expected}")
     return expected
 
 
@@ -234,7 +247,7 @@ def gf_coefficients(p: int, n_terms: int) -> list[int]:
     The closed form with radical parameter r expands to the sequence for
     p = r - 1 consecutive extra generators, so r = p + 1 here (r = 2 gives
     Catalan numbers, r = 3 Motzkin).  Divisibility by 2 x^(r-1) and
-    integrality of every coefficient are asserted, not assumed.
+    integrality of every coefficient are checked, not assumed.
     """
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
@@ -273,7 +286,8 @@ def total_core_size_via_paths(s: int) -> int:
     seen = set()
     for path in enumerate_gd(s, 2):
         ideal = gd_to_ideal(path, poset)
-        assert ideal not in seen, f"two paths map to the ideal {sorted(ideal)}"
+        if ideal in seen:
+            raise InvariantError(f"two paths map to the ideal {sorted(ideal)}")
         seen.add(ideal)
         total += ideal_to_core(poset, ideal).size
     return total

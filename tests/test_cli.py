@@ -1,7 +1,13 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import simcores
 from simcores.cli import main
 from simcores.exact import binomial, catalan_number
 from simcores.posets import build_gap_poset, multi_catalan
@@ -306,3 +312,69 @@ def test_conjecture_strategy_mismatch_is_a_failure(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "conjecture", "--min-s", "5", "--max-s", "5")
     assert code == 2 and out.startswith("FAIL")
     assert f"first counterexample: s=5: the two enumeration strategies disagree ({lhs} vs -1)" in out
+
+
+def test_counts_past_the_int_to_str_digit_limit_print(capsys):
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(4300)  # the interpreter default
+    code, out, err = run_cli(capsys, "count", "rect", "--s", "8000", "--t", "8001")
+    assert code == 0 and err == ""
+    assert out == f"{math.comb(16001, 8000) // 16001}\n"
+
+
+def test_verify_range_selecting_no_instances_exits_1(capsys):
+    for argv, what in ((("motzkin", "--max-s", "-3"), "Motzkin sum identity"),
+                       (("conjecture", "--min-s", "5", "--max-s", "4"), "total-size conjecture"),
+                       (("popoviciu", "--max-t", "1"), "two-generator counting")):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"simcores: {what}: the range (") and "selects no instances" in err
+    # an explicit --max-s 0 is a range, not the default
+    assert run_cli(capsys, "verify", "motzkin", "--max-s", "0")[1].startswith(
+        "PASS Motzkin sum identity [s <= 0] 1 instances")
+
+
+def test_verify_range_flags_must_be_positive(capsys):
+    for flag in ("--max-t", "--max-p", "--terms", "--max-sum", "--max-path-n", "--max-k"):
+        assert_usage_error(capsys, "verify", "all", flag, "0", message=f"{flag}: must be >= 1, got 0")
+    assert_usage_error(capsys, "verify", "identity", "--max-n", "1", message="--max-n: must be >= 2, got 1")
+
+
+OPTIMIZED_INVARIANT_SCRIPT = """
+import sys
+assert False  # skipped: this interpreter runs with -O
+import simcores.paths as paths
+import simcores.verify as verify
+from simcores.cli import main
+
+real_build = verify.build_gap_poset
+
+class WrongFrobenius:
+    def __init__(self, poset):
+        self.poset = poset
+    def __getattr__(self, name):
+        return getattr(self.poset, name)
+    @property
+    def frobenius_number(self):
+        return self.poset.frobenius_number + 1
+
+verify.build_gap_poset = lambda gens: WrongFrobenius(real_build(gens))
+popoviciu_code = main(["verify", "popoviciu", "--max-t", "5"])
+paths.binomial = lambda n, k: 1
+rect_code = main(["count", "rect", "--s", "3", "--t", "5"])
+print(popoviciu_code, rect_code)
+"""
+
+
+def test_invariants_stay_checked_under_optimize():
+    src = str(Path(simcores.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_INVARIANT_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("FAIL two-generator counting")
+    assert "invariant failed: sieve says largest gap 2, formula 1" in lines[1]
+    assert lines[-1] == "2 2"
+    assert done.stderr == (
+        "simcores: internal invariant failed: cycle-lemma division must be exact for coprime sides\n")

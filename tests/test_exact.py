@@ -142,3 +142,66 @@ def test_det_qpoly_matches_permutation_expansion():
 
 def test_det_qpoly_accepts_int_entries():
     assert det_qpoly([[3, 1], [1, 2]]) == QPolynomial([5])
+
+
+def leibniz_det(rows, zero):
+    # the permutation expansion, grouped by the set of columns the first rows use:
+    # row i takes a free column j, and the used columns above j are its inversions
+    n = len(rows)
+    partial = {0: zero + 1}
+    for i in range(n):
+        grown = {}
+        for used, value in partial.items():
+            for j in range(n):
+                if used >> j & 1:
+                    continue
+                term = value * rows[i][j]
+                if bin(used >> j).count("1") % 2:
+                    term = -term
+                key = used | 1 << j
+                grown[key] = grown[key] + term if key in grown else term
+        partial = grown
+    return partial[(1 << n) - 1]
+
+
+def test_grouped_expansion_is_the_permutation_expansion():
+    rng = random.Random(5)
+    for n in range(7):
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        assert leibniz_det(rows, 0) == perm_expansion_det(rows)
+
+
+def test_det_qpoly_matches_permutation_expansion_on_wide_entries():
+    # coefficients up to 2^80 in size and degrees up to 25 stress the
+    # packing of every entry into one integer at q = 2^B
+    rng = random.Random(20261018)
+
+    def rand_poly():
+        if rng.random() < 0.15:
+            return QPolynomial()
+        return QPolynomial([rng.randint(-2**80, 2**80) for _ in range(rng.randint(1, 26))])
+
+    for n in range(8):
+        for variant in ("dense", "zero row", "zero column"):
+            if n == 0 and variant != "dense":
+                continue
+            rows = [[rand_poly() for _ in range(n)] for _ in range(n)]
+            if variant == "zero row":
+                rows[rng.randrange(n)] = [QPolynomial()] * n
+            elif variant == "zero column":
+                j = rng.randrange(n)
+                for r in rows:
+                    r[j] = QPolynomial()
+            det = det_qpoly(rows)
+            assert det == leibniz_det(rows, QPolynomial())
+            if variant != "dense":
+                assert det == QPolynomial()
+
+
+def test_det_qpoly_cancellation_leaves_negative_and_zero_coefficients():
+    # det [[1, q], [q, 1]] = 1 - q^2: a zero middle coefficient and a negative top one
+    one, q = QPolynomial([1]), QPolynomial([0, 1])
+    assert det_qpoly([[one, q], [q, one]]) == QPolynomial([1, 0, -1])
+    assert det_qpoly([[q, q], [q, q]]) == QPolynomial()
+    big = QPolynomial([-(2**80), 0, 2**80 - 1])
+    assert det_qpoly([[big]]) == big

@@ -93,3 +93,44 @@ def test_integer_coefficients():
 
 def test_str_mentions_truncation():
     assert "O(x^3)" in str(PowerSeries([1, 0, 2], 2))
+
+
+def test_sqrt_of_rational_series():
+    # sqrt(1 + x) = sum binomial(1/2, k) x^k
+    root = PowerSeries([1, 1], 5).sqrt()
+    assert root.coeffs == (1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16),
+                           Fraction(-5, 128), Fraction(7, 256))
+    # scaling x by 1/3 scales the k-th coefficient by 3^-k
+    scaled = PowerSeries([1, Fraction(1, 3)], 5).sqrt()
+    assert scaled.coeffs == tuple(a / 3**k for k, a in enumerate(root.coeffs))
+
+
+def test_sqrt_squares_back_on_random_rational_series():
+    rng = random.Random(20261018)
+    for _ in range(40):
+        order = rng.randint(0, 15)
+        coeffs = [1] + [Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(order)]
+        f = PowerSeries(coeffs, order)
+        root = f.sqrt()
+        assert root * root == f
+        assert root.coefficient(0) == 1
+
+
+def test_sqrt_squares_back_on_the_generating_function_radicand(monkeypatch):
+    from simcores.verify import gf_coefficients
+
+    calls = []
+    real_sqrt = PowerSeries.sqrt
+
+    def recording_sqrt(self):
+        root = real_sqrt(self)
+        calls.append((self, root))
+        return root
+
+    monkeypatch.setattr(PowerSeries, "sqrt", recording_sqrt)
+    for p in range(1, 5):
+        gf_coefficients(p, 60)
+    assert len(calls) == 4
+    for radicand, root in calls:
+        assert root * root == radicand
+        assert all(a.denominator == 1 for a in root.coeffs)

@@ -48,9 +48,16 @@ def test_qdet_matches_brute_force_in_3x3_box():
         assert poly(1) == kreweras_count(p)
 
 
+def full_alternating_catalan_sum(n):
+    # the sum over every k = 1..n, including the terms whose binomial vanishes
+    return sum((-1) ** k * binomial(k + 1, n - k) * catalan_number(k) for k in range(1, n + 1))
+
+
 def test_catalan_identity():
-    for n in range(2, 31):
+    for n in range(2, 401):
         assert catalan_identity(n) == 0
+    for n in range(2, 61):
+        assert catalan_identity(n) == full_alternating_catalan_sum(n)
     with pytest.raises(ValueError):
         catalan_identity(1)
 
@@ -67,8 +74,8 @@ def test_popoviciu_examples():
 
 
 def test_popoviciu_matches_brute_force():
-    for s in range(1, 9):
-        for t in range(s + 1, 9):
+    for s in range(1, 26):
+        for t in range(s + 1, 26):
             if math.gcd(s, t) != 1:
                 continue
             for m in range(s * t + 1):
@@ -187,3 +194,17 @@ def count_rect_paths_catalan(s):
     from simcores.paths import count_rect_paths
 
     return count_rect_paths(s, s + 1)
+
+
+@pytest.mark.parametrize("parts", [
+    (8, 7, 6, 5, 4, 3, 2, 1),
+    (9, 9, 5, 5, 3, 3, 1, 1, 1),
+    (7, 7, 7, 3, 3, 3, 2, 2, 1, 1),
+    (12, 10, 8, 6, 4, 2, 2, 2, 1, 1, 1),
+    (105, 6, 3, 2, 2, 2, 1, 1, 1, 1, 1, 1),  # size 126
+])
+def test_qdet_matches_brute_force_on_long_shapes(parts):
+    p = Partition(parts)
+    poly = qdet_coarea(p)
+    assert poly == subpartition_size_polynomial(p)
+    assert poly(1) == kreweras_count(p)
