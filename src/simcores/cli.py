@@ -21,7 +21,7 @@ from .paths import (
     enumerate_rect_paths,
     svg_paths,
 )
-from .posets import build_gap_poset, ideal_to_core, multi_catalan
+from .posets import LIST_CAP, build_gap_poset, ideal_to_core, multi_catalan
 from .verify import (
     check_catalan_identity_range,
     check_conjecture_range,
@@ -31,11 +31,7 @@ from .verify import (
     check_symmetry_range,
     equinumerosity_suite,
     qdet_coarea,
-    run_all_checks,
 )
-
-LIST_CAP = 10**6
-COUNT_CAP = 10**7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,11 +108,11 @@ def build_parser() -> _Parser:
     p_paths = sub.add_parser("paths", help="lattice paths")
     paths_sub = p_paths.add_subparsers(dest="path_kind")
     p_rect = paths_sub.add_parser("rect", help="N/E paths above the rectangle diagonal")
-    p_rect.add_argument("--s", type=int, required=True)
-    p_rect.add_argument("--t", type=int, required=True)
+    p_rect.add_argument("--s", type=_positive_int, required=True)
+    p_rect.add_argument("--t", type=_positive_int, required=True)
     p_gd = paths_sub.add_parser("gd", help="generalized paths with jump-k steps")
     p_gd.add_argument("--n", type=_positive_int, required=True)
-    p_gd.add_argument("--k", type=int, required=True)
+    p_gd.add_argument("--k", type=_positive_int, required=True)
     for sp, fn in ((p_rect, cmd_paths_rect), (p_gd, cmd_paths_gd)):
         sp.add_argument("--count-only", action="store_true")
         sp.add_argument("--list", action="store_true", dest="list_items")
@@ -132,11 +128,11 @@ def build_parser() -> _Parser:
     count_sub = p_count.add_subparsers(dest="count_kind")
     p_mc = count_sub.add_parser("multi-catalan", help="lower ideals of a consecutive-run poset")
     p_mc.add_argument("--s", type=_non_negative_int, required=True)
-    p_mc.add_argument("--p", type=int, required=True)
+    p_mc.add_argument("--p", type=_positive_int, required=True)
     p_mc.set_defaults(func=cmd_count_multi_catalan)
     p_cr = count_sub.add_parser("rect", help="cycle-lemma rectangle path count")
-    p_cr.add_argument("--s", type=int, required=True)
-    p_cr.add_argument("--t", type=int, required=True)
+    p_cr.add_argument("--s", type=_positive_int, required=True)
+    p_cr.add_argument("--t", type=_positive_int, required=True)
     p_cr.set_defaults(func=cmd_count_rect)
 
     p_qdet = sub.add_parser("qdet", help="coarea polynomial of a shape, by q-determinant")
@@ -191,16 +187,34 @@ def cmd_poset(args) -> int:
     return 0
 
 
-def _ideal_listing(poset, max_items) -> list[list[int]]:
-    cap = max_items if max_items is not None else LIST_CAP
-    return [sorted(ideal) for ideal in poset.iter_lower_ideals(max_items=cap)]
+def _list_cap(args) -> int:
+    return LIST_CAP if args.max_items is None else args.max_items
+
+
+def _print_count(args, count: int, what: str, params: dict) -> int:
+    # --max-items N caps what is counted exactly as it caps what is listed
+    if args.max_items is not None and count > args.max_items:
+        raise EnumerationCapError(what, args.max_items)
+    print(json.dumps(dict(params, count=str(count))) if args.format == "json" else count)
+    return 0
+
+
+def _count_ideals(args, poset) -> int:
+    # ideals and cores alike: the DP counts without enumerating, under its fixed state cap
+    return _print_count(args, poset.count_lower_ideals(),
+                        f"lower ideals of P_{list(poset.generators)}",
+                        {"generators": list(poset.generators)})
+
+
+def _ideal_listing(poset, args) -> list[list[int]]:
+    return [sorted(ideal) for ideal in poset.iter_lower_ideals(_list_cap(args))]
 
 
 def cmd_ideals(args) -> int:
     poset = build_gap_poset(args.gens)
     if args.from_file:
         recorded = _load_json(args.from_file)
-        ideals = _ideal_listing(poset, args.max_items)
+        ideals = _ideal_listing(poset, args)
         fresh = {
             "generators": list(poset.generators),
             "count": str(len(ideals)),
@@ -208,12 +222,8 @@ def cmd_ideals(args) -> int:
         }
         return _report_roundtrip("ideals", recorded, fresh)
     if args.count_only:
-        count = poset.count_lower_ideals(
-            max_states=args.max_items if args.max_items is not None else COUNT_CAP)
-        payload = {"generators": list(poset.generators), "count": str(count)}
-        print(json.dumps(payload) if args.format == "json" else count)
-        return 0
-    ideals = _ideal_listing(poset, args.max_items)
+        return _count_ideals(args, poset)
+    ideals = _ideal_listing(poset, args)
     if args.format == "json":
         payload = {"generators": list(poset.generators), "count": str(len(ideals))}
         if args.list_items:
@@ -229,19 +239,9 @@ def cmd_ideals(args) -> int:
 
 def cmd_cores(args) -> int:
     poset = build_gap_poset(args.gens)
-    if args.count_only and not args.from_file and args.format == "plain":
-        # counted by the window DP; --max-items still caps the number of cores
-        count = poset.count_lower_ideals(max_states=COUNT_CAP)
-        if args.max_items is not None and count > args.max_items:
-            raise EnumerationCapError(
-                f"lower ideals of P_{list(poset.generators)}", args.max_items)
-        print(count)
-        return 0
-    cores = [
-        ideal_to_core(poset, ideal)
-        for ideal in poset.iter_lower_ideals(
-            max_items=args.max_items if args.max_items is not None else LIST_CAP)
-    ]
+    if args.count_only and not args.from_file:
+        return _count_ideals(args, poset)
+    cores = [ideal_to_core(poset, ideal) for ideal in poset.iter_lower_ideals(_list_cap(args))]
     if args.from_file:
         recorded = _load_json(args.from_file)
         fresh = {
@@ -269,7 +269,7 @@ def cmd_cores(args) -> int:
 
 
 def _emit_paths(args, kind: str, count_fn, enum_fn, params: dict) -> int:
-    cap = args.max_items if args.max_items is not None else LIST_CAP
+    cap = _list_cap(args)
     if args.from_file:
         recorded = _load_json(args.from_file)
         fresh = dict(params)
@@ -277,9 +277,8 @@ def _emit_paths(args, kind: str, count_fn, enum_fn, params: dict) -> int:
         fresh["count"] = str(len(fresh["paths"]))
         return _report_roundtrip(kind, recorded, fresh)
     if args.count_only:
-        count = count_fn()
-        print(json.dumps(dict(params, count=str(count))) if args.format == "json" else count)
-        return 0
+        what = f"{kind} for " + ", ".join(f"{key}={value}" for key, value in params.items())
+        return _print_count(args, count_fn(), what, params)
     paths = list(enum_fn(cap))
     if args.svg:
         with open(args.svg, "w") as fh:
@@ -350,17 +349,18 @@ def cmd_verify(args) -> int:
         return default if args.max_s is None else args.max_s
 
     runners = {
-        "symmetry": lambda: [check_symmetry_range(args.min_s, max_s(25), jobs=args.jobs)],
-        "popoviciu": lambda: [check_popoviciu_range(args.max_t, jobs=args.jobs)],
-        "identity": lambda: [check_catalan_identity_range(args.max_n, jobs=args.jobs)],
-        "motzkin": lambda: [check_motzkin_range(max_s(20), jobs=args.jobs)],
-        "gf": lambda: [check_gf_range(args.max_p, args.terms, jobs=args.jobs)],
-        "conjecture": lambda: [check_conjecture_range(args.min_s, max_s(10), jobs=args.jobs)],
-        "equinumerous": lambda: [equinumerosity_suite(
-            args.max_sum, args.max_path_n, args.max_k, jobs=args.jobs)],
-        "all": lambda: run_all_checks(jobs=args.jobs),
+        "symmetry": lambda: check_symmetry_range(args.min_s, max_s(25), jobs=args.jobs),
+        "popoviciu": lambda: check_popoviciu_range(args.max_t, jobs=args.jobs),
+        "identity": lambda: check_catalan_identity_range(args.max_n, jobs=args.jobs),
+        "motzkin": lambda: check_motzkin_range(max_s(20), jobs=args.jobs),
+        "gf": lambda: check_gf_range(args.max_p, args.terms, jobs=args.jobs),
+        "conjecture": lambda: check_conjecture_range(args.min_s, max_s(10), jobs=args.jobs),
+        "equinumerous": lambda: equinumerosity_suite(
+            args.max_sum, args.max_path_n, args.max_k, jobs=args.jobs),
     }
-    reports = runners[args.which]()
+    # "all" runs every runner in table order, each under the given range flags
+    chosen = runners.values() if args.which == "all" else [runners[args.which]]
+    reports = [run() for run in chosen]
     if args.format == "json":
         print(json.dumps([r.to_json_dict() for r in reports]))
     else:

@@ -19,9 +19,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import EnumerationCapError, InvariantError, NonCoprimeError
 from .exact import binomial
 from .partitions import Partition
-from .posets import GapPoset, consecutive_poset, multi_catalan
-
-DEFAULT_LIST_CAP = 10**6
+from .posets import LIST_CAP, GapPoset, consecutive_poset, multi_catalan
 
 
 def _require_coprime(s: int, t: int) -> None:
@@ -103,7 +101,7 @@ def diagonal_partition(s: int, t: int) -> Partition:
     return Partition(sorted((s * i // t for i in range(1, t)), reverse=True))
 
 
-def enumerate_rect_paths(s: int, t: int, max_items: int | None = DEFAULT_LIST_CAP) -> Iterator[RectPath]:
+def enumerate_rect_paths(s: int, t: int, max_items: int | None = LIST_CAP) -> Iterator[RectPath]:
     """All (s, t) paths, N-step first at every branch (deterministic order)."""
     _require_coprime(s, t)
     moves = (("N", 0, 1), ("E", 1, 0))
@@ -235,7 +233,7 @@ def count_gd(n: int, k: int) -> int:
     return multi_catalan(n, k)
 
 
-def enumerate_gd(n: int, k: int, max_items: int | None = DEFAULT_LIST_CAP) -> Iterator[GeneralizedDyckPath]:
+def enumerate_gd(n: int, k: int, max_items: int | None = LIST_CAP) -> Iterator[GeneralizedDyckPath]:
     """All generalized (n,k) paths; step order Nk, Ek, D1..D(k-1) at each branch."""
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")

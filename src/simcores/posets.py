@@ -19,8 +19,10 @@ from typing import Iterable, Iterator
 from .errors import EnumerationCapError, InfinitePosetError, InvariantError
 from .partitions import Partition, partition_from_hooks
 
-DEFAULT_LIST_CAP = 10**6
-DEFAULT_COUNT_CAP = 10**7
+# listings stop with EnumerationCapError past LIST_CAP items, the counting
+# DP past COUNT_CAP states
+LIST_CAP = 10**6
+COUNT_CAP = 10**7
 
 
 class GapPoset:
@@ -81,7 +83,7 @@ class GapPoset:
             return False
         return ideal.issuperset(chain.from_iterable(map(self._lower.__getitem__, ideal)))
 
-    def iter_lower_ideals(self, max_items: int | None = DEFAULT_LIST_CAP) -> Iterator[frozenset[int]]:
+    def iter_lower_ideals(self, max_items: int | None = LIST_CAP) -> Iterator[frozenset[int]]:
         """Every lower ideal exactly once, as a frozenset of gap values.
 
         Deterministic order: gaps are decided in increasing value, exclusion
@@ -122,41 +124,31 @@ class GapPoset:
             mask |= 1 << i
             chosen.append(gaps[i])
 
-    def count_lower_ideals(self, max_states: int | None = DEFAULT_COUNT_CAP) -> int:
-        """Number of lower ideals, by dynamic programming over a sliding window.
+    def count_lower_ideals(self, max_states: int | None = COUNT_CAP) -> int:
+        """Number of lower ideals, by dynamic programming over the gaps in increasing value.
 
-        Processing gaps in increasing value, only the membership pattern of
-        gaps within max(generators) of the current value can constrain future
-        decisions, so states are bit patterns over that window.  Independent
-        of the closed multi-Catalan recursion.
+        Only values within max(generators) of the current gap g can be lower
+        covers of g or of a later gap, so a state is the membership pattern of
+        those values: bit d says whether g - d is in the ideal.  Moving to the
+        next gap shifts every key left by the distance and drops the bits that
+        fall out of range, merging keys that become equal.  Independent of the
+        closed multi-Catalan recursion.
         """
-        gaps = self.gaps
-        if not gaps:
-            return 1
-        spread = self.generators[-1]
-        window: list[int] = []
-        # bit j of a state records whether window[j] is in the ideal
+        in_range = (1 << (self.generators[-1] + 1)) - 1
         states: dict[int, int] = {0: 1}
-        for g in gaps:
-            keep = 0
-            while keep < len(window) and window[keep] < g - spread:
-                keep += 1
-            if keep:
-                merged: dict[int, int] = {}
-                for key, cnt in states.items():
-                    short = key >> keep
-                    merged[short] = merged.get(short, 0) + cnt
-                states = merged
-                window = window[keep:]
-            need = sum(1 << window.index(c) for c in self._lower[g])
-            new_bit = 1 << len(window)
+        prev = 0
+        for g in self.gaps:
+            shift, prev = g - prev, g
+            need = sum(1 << (g - c) for c in self._lower[g])
             nxt: dict[int, int] = {}
             for key, cnt in states.items():
-                nxt[key] = nxt.get(key, 0) + cnt
+                key = (key << shift) & in_range
+                nxt[key] = cnt = nxt.get(key, 0) + cnt
+                # whether g may join depends on the merged key alone, so the
+                # key with g included always carries the same count
                 if key & need == need:
-                    nxt[key | new_bit] = cnt
+                    nxt[key | 1] = cnt
             states = nxt
-            window.append(g)
             if max_states is not None and len(states) > max_states:
                 raise EnumerationCapError(
                     f"ideal-counting state space for P_{list(self.generators)}", max_states

@@ -462,14 +462,3 @@ def check_motzkin_range(max_s: int = 20, jobs: int = 1) -> CheckReport:
     ]
     return _run_report("Motzkin sum identity", f"s <= {max_s}", instances, jobs=jobs)
 
-
-def run_all_checks(jobs: int = 1) -> list[CheckReport]:
-    return [
-        check_symmetry_range(jobs=jobs),
-        check_popoviciu_range(jobs=jobs),
-        check_catalan_identity_range(jobs=jobs),
-        check_motzkin_range(jobs=jobs),
-        check_gf_range(jobs=jobs),
-        check_conjecture_range(jobs=jobs),
-        equinumerosity_suite(jobs=jobs),
-    ]

@@ -33,8 +33,8 @@ def test_count_multi_catalan(capsys):
 
 
 def test_domain_errors_exit_1_without_traceback(capsys):
-    code, _, err = run_cli(capsys, "count", "multi-catalan", "--s", "5", "--p", "0")
-    assert code == 1 and "p >= 1" in err
+    code, out, err = run_cli(capsys, "count", "multi-catalan", "--s", "5", "--p", "0")
+    assert code == 1 and out == "" and "--p: must be >= 1, got 0" in err
     # listing and counting reject n <= 0 alike
     for mode in ("--list", "--count-only"):
         code, out, err = run_cli(capsys, "paths", "gd", "--n", "0", "--k", "2", mode)
@@ -71,6 +71,14 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1
     code, _, _ = run_cli(capsys)
     assert code == 1
+    for argv, flag in ((("paths", "rect", "--s", "0", "--t", "5"), "--s"),
+                       (("paths", "rect", "--s", "3", "--t", "-2"), "--t"),
+                       (("count", "rect", "--s", "-1", "--t", "5"), "--s"),
+                       (("count", "rect", "--s", "3", "--t", "0"), "--t"),
+                       (("paths", "gd", "--n", "3", "--k", "0"), "--k"),
+                       (("count", "multi-catalan", "--s", "3", "--p", "-4"), "--p")):
+        value = argv[argv.index(flag) + 1]
+        assert_usage_error(capsys, *argv, message=f"{flag}: must be >= 1, got {value}")
 
 
 def test_ideals_count_only(capsys):
@@ -251,6 +259,7 @@ def test_cores_count_only_counts_without_enumerating(capsys, monkeypatch):
     from simcores.posets import GapPoset
 
     listed = run_cli(capsys, "cores", "--gens", "5,7,13")[1]
+    listed_json = run_cli(capsys, "cores", "--gens", "5,7,13", "--format", "json")[1]
 
     def no_enumeration(self, max_items=None):
         raise AssertionError("cores --count-only enumerated the ideals")
@@ -258,6 +267,8 @@ def test_cores_count_only_counts_without_enumerating(capsys, monkeypatch):
     monkeypatch.setattr(GapPoset, "iter_lower_ideals", no_enumeration)
     code, out, _ = run_cli(capsys, "cores", "--gens", "5,7,13", "--count-only")
     assert code == 0 and listed == f"{out.strip()} simultaneous cores\n"
+    assert run_cli(capsys, "cores", "--gens", "5,7,13", "--count-only", "--format", "json") == (
+        0, listed_json, "")
 
 
 def test_cores_count_only_max_items_caps_cores(capsys):
@@ -267,6 +278,28 @@ def test_cores_count_only_max_items_caps_cores(capsys):
     assert run_cli(capsys, "cores", "--gens", "5,7", "--count-only", "--max-items", "66") == (0, "66\n", "")
     # --list and --total-size do not change a plain count
     assert run_cli(capsys, "cores", "--gens", "5,7", "--count-only", "--list", "--total-size") == (0, "66\n", "")
+
+
+def test_count_only_max_items_caps_the_count(capsys):
+    # one rule for every --count-only command and format: fail once the count exceeds N
+    for argv, count, what in (
+            (("ideals", "--gens", "5,7"), 66, "lower ideals of P_[5, 7]"),
+            (("ideals", "--gens", "5,7", "--format", "json"), 66, "lower ideals of P_[5, 7]"),
+            (("cores", "--gens", "5,7", "--format", "json"), 66, "lower ideals of P_[5, 7]"),
+            (("paths", "rect", "--s", "3", "--t", "5"), 7, "rect paths for s=3, t=5"),
+            (("paths", "gd", "--n", "6", "--k", "2", "--format", "json"), multi_catalan(6, 2),
+             "generalized paths for n=6, k=2")):
+        cap = str(count - 1)
+        assert run_cli(capsys, *argv, "--count-only", "--max-items", cap) == (
+            1, "", f"simcores: {what} exceeds the cap of {cap}; raise the cap to proceed\n")
+        code, out, err = run_cli(capsys, *argv, "--count-only", "--max-items", str(count))
+        assert code == 0 and err == "" and str(count) in out
+    # the DP's state cap is not --max-items: 32 states, 66 ideals
+    assert run_cli(capsys, "ideals", "--gens", "5,7", "--count-only", "--max-items", "40") == (
+        1, "", "simcores: lower ideals of P_[5, 7] exceeds the cap of 40; raise the cap to proceed\n")
+    # --list and --total-size do not change a JSON count either
+    assert run_cli(capsys, "cores", "--gens", "5,7", "--count-only", "--list", "--total-size",
+                   "--format", "json") == (0, '{"generators": [5, 7], "count": "66"}\n', "")
 
 
 def assert_usage_error(capsys, *argv, message):
@@ -332,6 +365,23 @@ def test_verify_range_selecting_no_instances_exits_1(capsys):
     # an explicit --max-s 0 is a range, not the default
     assert run_cli(capsys, "verify", "motzkin", "--max-s", "0")[1].startswith(
         "PASS Motzkin sum identity [s <= 0] 1 instances")
+
+
+def test_verify_all_applies_the_range_flags(capsys):
+    code, out, err = run_cli(capsys, "verify", "all", "--min-s", "4", "--max-s", "5", "--max-t", "3",
+                             "--max-n", "4", "--max-p", "1", "--terms", "3", "--max-sum", "5",
+                             "--max-path-n", "2", "--max-k", "1")
+    assert code == 0 and err == ""
+    headers = [line.split(" instances in ")[0] for line in out.splitlines() if line.startswith("PASS")]
+    assert headers == [
+        "PASS twin-gap symmetry [odd s in [4, 5]] 1",
+        "PASS two-generator counting [coprime s < t <= 3, m <= st] 3",
+        "PASS alternating Catalan identity [identity n in [2, 4]; Hessenberg determinant n <= 12] 15",
+        "PASS Motzkin sum identity [s <= 5] 6",
+        "PASS closed generating function [p <= 1, 3 terms] 1",
+        "PASS total-size conjecture [s in [4, 5]] 2",
+        "PASS equinumerosity [pairs with s+t <= 5; consecutive n <= 2, k <= 1] 7",
+    ]
 
 
 def test_verify_range_flags_must_be_positive(capsys):

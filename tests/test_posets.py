@@ -100,6 +100,7 @@ def test_ideal_counts():
     p57 = build_gap_poset((5, 7))
     assert sum(1 for _ in p57.iter_lower_ideals()) == 66
     assert p57.count_lower_ideals() == 66 == binomial(12, 5) // 12
+    assert build_gap_poset((1, 4)).count_lower_ideals() == 1  # no gaps: only the empty ideal
 
 
 def test_ideal_enumeration_is_deterministic_and_valid():
@@ -167,8 +168,23 @@ def test_count_matches_enumeration_on_random_generator_sets():
         poset = build_gap_poset(gens)
         if len(poset.gaps) > 18:
             continue
-        assert poset.count_lower_ideals() == sum(1 for _ in poset.iter_lower_ideals()), gens
+        ideals = list(poset.iter_lower_ideals())
+        assert poset.count_lower_ideals() == len(ideals), gens
+        for ideal in ideals:
+            core = ideal_to_core(poset, ideal)
+            assert core.is_multicore(gens), (gens, ideal)
+            assert core_to_ideal(core, poset) == ideal, (gens, ideal)
         checked += 1
+
+
+@pytest.mark.parametrize("gens, peak", [((5, 7), 32), ((7, 9), 128), ((9, 11), 512), ((13, 17), 18432)])
+def test_count_state_cap_bounds_the_peak_state_count(gens, peak):
+    s, t = gens
+    poset = build_gap_poset(gens)
+    assert poset.count_lower_ideals(max_states=peak) == binomial(s + t, s) // (s + t)
+    with pytest.raises(EnumerationCapError) as err:
+        poset.count_lower_ideals(max_states=peak - 1)
+    assert str(err.value).startswith(f"ideal-counting state space for P_{list(gens)}")
 
 
 def test_enumerated_ideals_closed_under_order():
