@@ -88,21 +88,11 @@ def build_parser() -> _Parser:
 
     p_ideals = sub.add_parser("ideals", help="lower ideals of the generator poset")
     p_ideals.add_argument("--gens", type=_gens_arg, required=True)
-    p_ideals.add_argument("--count-only", action="store_true")
-    p_ideals.add_argument("--list", action="store_true", dest="list_items")
-    p_ideals.add_argument("--format", choices=("plain", "json"), default="plain")
-    p_ideals.add_argument("--max-items", type=_positive_int, default=None)
-    p_ideals.add_argument("--from-file", default=None, help="re-check a previous JSON listing")
     p_ideals.set_defaults(func=cmd_ideals)
 
     p_cores = sub.add_parser("cores", help="simultaneous cores via the hook-set bijection")
     p_cores.add_argument("--gens", type=_gens_arg, required=True)
-    p_cores.add_argument("--count-only", action="store_true")
-    p_cores.add_argument("--list", action="store_true", dest="list_items")
     p_cores.add_argument("--total-size", action="store_true")
-    p_cores.add_argument("--format", choices=("plain", "json"), default="plain")
-    p_cores.add_argument("--max-items", type=_positive_int, default=None)
-    p_cores.add_argument("--from-file", default=None)
     p_cores.set_defaults(func=cmd_cores)
 
     p_paths = sub.add_parser("paths", help="lattice paths")
@@ -110,19 +100,21 @@ def build_parser() -> _Parser:
     p_rect = paths_sub.add_parser("rect", help="N/E paths above the rectangle diagonal")
     p_rect.add_argument("--s", type=_positive_int, required=True)
     p_rect.add_argument("--t", type=_positive_int, required=True)
+    p_rect.set_defaults(func=cmd_paths_rect)
     p_gd = paths_sub.add_parser("gd", help="generalized paths with jump-k steps")
     p_gd.add_argument("--n", type=_positive_int, required=True)
     p_gd.add_argument("--k", type=_positive_int, required=True)
-    for sp, fn in ((p_rect, cmd_paths_rect), (p_gd, cmd_paths_gd)):
+    p_gd.add_argument("--labels", action="store_true", help="print diagonal cell labels in the SVG")
+    p_gd.set_defaults(func=cmd_paths_gd)
+    for sp in (p_rect, p_gd):
+        sp.add_argument("--svg", default=None, help="write all paths as SVG panels to FILE")
+    # the flags of the one listing route, _listing
+    for sp in (p_ideals, p_cores, p_rect, p_gd):
         sp.add_argument("--count-only", action="store_true")
         sp.add_argument("--list", action="store_true", dest="list_items")
-        sp.add_argument("--svg", default=None, help="write all paths as SVG panels to FILE")
-        sp.add_argument("--labels", action="store_true",
-                        help="print diagonal cell labels in the SVG (gd only)")
         sp.add_argument("--format", choices=("plain", "json"), default="plain")
         sp.add_argument("--max-items", type=_positive_int, default=None)
-        sp.add_argument("--from-file", default=None)
-        sp.set_defaults(func=fn)
+        sp.add_argument("--from-file", default=None, help="re-check a previous JSON listing")
 
     p_count = sub.add_parser("count", help="closed-form counts")
     count_sub = p_count.add_subparsers(dest="count_kind")
@@ -187,132 +179,105 @@ def cmd_poset(args) -> int:
     return 0
 
 
-def _list_cap(args) -> int:
-    return LIST_CAP if args.max_items is None else args.max_items
+def _listing(args, params: dict, count, enumerate_items, *, key: str, noun: str, kind: str,
+             what: str, to_json, to_text, totals=lambda items: {}, write=None) -> int:
+    """The count, list, JSON and round-trip route of every listing command.
 
-
-def _print_count(args, count: int, what: str, params: dict) -> int:
-    # --max-items N caps what is counted exactly as it caps what is listed
-    if args.max_items is not None and count > args.max_items:
-        raise EnumerationCapError(what, args.max_items)
-    print(json.dumps(dict(params, count=str(count))) if args.format == "json" else count)
+    `--from-file` is read before any work, `--count-only` counts without
+    enumerating, `--max-items N` fails a count or a listing past N items, and
+    anything else enumerates once under the listing cap.  The items are named
+    `key` in JSON, `noun` in the count line, `kind` in the round-trip verdict
+    and `what` in the count's cap error; `totals(items)` adds named totals,
+    and `write(items)`, when given, replaces the printed listing.
+    """
+    if args.from_file:
+        with open(args.from_file) as fh:
+            recorded = json.load(fh)
+    elif args.count_only:
+        n = count()
+        if args.max_items is not None and n > args.max_items:
+            raise EnumerationCapError(what, args.max_items)
+        print(json.dumps(dict(params, count=str(n))) if args.format == "json" else n)
+        return 0
+    items = list(enumerate_items(LIST_CAP if args.max_items is None else args.max_items))
+    payload = dict(params, count=str(len(items)))
+    if args.from_file:
+        # every canonical field must match; extra recorded keys are fine
+        payload[key] = [to_json(item) for item in items]
+        if isinstance(recorded, dict) and all(recorded.get(k) == v for k, v in payload.items()):
+            print(f"{kind}: file matches a fresh enumeration")
+            return 0
+        print(f"{kind}: file does NOT match a fresh enumeration", file=sys.stderr)
+        return 2
+    if write is not None:
+        return write(items)
+    extra = totals(items)
+    if args.format == "json":
+        payload.update((name, str(value)) for name, value in extra.items())
+        if args.list_items:
+            payload[key] = [to_json(item) for item in items]
+        print(json.dumps(payload))
+        return 0
+    print(f"{len(items)} {noun}")
+    for name, value in extra.items():
+        print(f"{name.replace('_', ' ')}: {value}")
+    if args.list_items:
+        for item in items:
+            print(to_text(item))
     return 0
-
-
-def _count_ideals(args, poset) -> int:
-    # ideals and cores alike: the DP counts without enumerating, under its fixed state cap
-    return _print_count(args, poset.count_lower_ideals(),
-                        f"lower ideals of P_{list(poset.generators)}",
-                        {"generators": list(poset.generators)})
-
-
-def _ideal_listing(poset, args) -> list[list[int]]:
-    return [sorted(ideal) for ideal in poset.iter_lower_ideals(_list_cap(args))]
 
 
 def cmd_ideals(args) -> int:
     poset = build_gap_poset(args.gens)
-    if args.from_file:
-        recorded = _load_json(args.from_file)
-        ideals = _ideal_listing(poset, args)
-        fresh = {
-            "generators": list(poset.generators),
-            "count": str(len(ideals)),
-            "ideals": ideals,
-        }
-        return _report_roundtrip("ideals", recorded, fresh)
-    if args.count_only:
-        return _count_ideals(args, poset)
-    ideals = _ideal_listing(poset, args)
-    if args.format == "json":
-        payload = {"generators": list(poset.generators), "count": str(len(ideals))}
-        if args.list_items:
-            payload["ideals"] = ideals
-        print(json.dumps(payload))
-    else:
-        print(f"{len(ideals)} lower ideals")
-        if args.list_items:
-            for ideal in ideals:
-                print("{" + ", ".join(map(str, ideal)) + "}")
-    return 0
+    return _listing(
+        args, {"generators": list(poset.generators)}, poset.count_lower_ideals,
+        lambda cap: map(sorted, poset.iter_lower_ideals(cap)),
+        key="ideals", noun="lower ideals", kind="ideals",
+        what=f"lower ideals of P_{list(poset.generators)}",
+        to_json=list, to_text=lambda ideal: "{" + ", ".join(map(str, ideal)) + "}",
+    )
 
 
 def cmd_cores(args) -> int:
+    # counted by the lower-ideal DP, listed through the hook-set bijection
     poset = build_gap_poset(args.gens)
-    if args.count_only and not args.from_file:
-        return _count_ideals(args, poset)
-    cores = [ideal_to_core(poset, ideal) for ideal in poset.iter_lower_ideals(_list_cap(args))]
-    if args.from_file:
-        recorded = _load_json(args.from_file)
-        fresh = {
-            "generators": list(poset.generators),
-            "count": str(len(cores)),
-            "cores": [c.to_json() for c in cores],
-        }
-        return _report_roundtrip("cores", recorded, fresh)
-    total = sum(c.size for c in cores)
-    if args.format == "json":
-        payload = {"generators": list(poset.generators), "count": str(len(cores))}
-        if args.total_size:
-            payload["total_size"] = str(total)
-        if args.list_items:
-            payload["cores"] = [c.to_json() for c in cores]
-        print(json.dumps(payload))
-        return 0
-    print(f"{len(cores)} simultaneous cores")
-    if args.total_size:
-        print(f"total size: {total}")
-    if args.list_items:
-        for c in cores:
-            print("()" if not c.parts else "(" + ", ".join(map(str, c.parts)) + ")")
-    return 0
+    return _listing(
+        args, {"generators": list(poset.generators)}, poset.count_lower_ideals,
+        lambda cap: (ideal_to_core(poset, ideal) for ideal in poset.iter_lower_ideals(cap)),
+        key="cores", noun="simultaneous cores", kind="cores",
+        what=f"lower ideals of P_{list(poset.generators)}",
+        to_json=Partition.to_json, to_text=lambda core: "(" + ", ".join(map(str, core.parts)) + ")",
+        totals=lambda cores: {"total_size": sum(c.size for c in cores)} if args.total_size else {},
+    )
 
 
-def _emit_paths(args, kind: str, count_fn, enum_fn, params: dict) -> int:
-    cap = _list_cap(args)
-    if args.from_file:
-        recorded = _load_json(args.from_file)
-        fresh = dict(params)
-        fresh["paths"] = [p.to_json() for p in enum_fn(cap)]
-        fresh["count"] = str(len(fresh["paths"]))
-        return _report_roundtrip(kind, recorded, fresh)
-    if args.count_only:
-        what = f"{kind} for " + ", ".join(f"{key}={value}" for key, value in params.items())
-        return _print_count(args, count_fn(), what, params)
-    paths = list(enum_fn(cap))
-    if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(svg_paths(paths, labels=args.labels))
-        print(f"wrote {len(paths)} paths to {args.svg}")
+def _svg_writer(path: str | None, labels: bool = False):
+    def write(paths) -> int:
+        with open(path, "w") as fh:
+            fh.write(svg_paths(paths, labels=labels))
+        print(f"wrote {len(paths)} paths to {path}")
         return 0
-    if args.format == "json":
-        payload = dict(params, count=str(len(paths)))
-        if args.list_items:
-            payload["paths"] = [p.to_json() for p in paths]
-        print(json.dumps(payload))
-    else:
-        print(f"{len(paths)} paths")
-        if args.list_items:
-            for p in paths:
-                print(" ".join(p.steps))
-    return 0
+    return write if path else None
 
 
 def cmd_paths_rect(args) -> int:
-    return _emit_paths(
-        args, "rect paths",
-        lambda: count_rect_paths(args.s, args.t),
+    return _listing(
+        args, {"s": args.s, "t": args.t}, lambda: count_rect_paths(args.s, args.t),
         lambda cap: enumerate_rect_paths(args.s, args.t, max_items=cap),
-        {"s": args.s, "t": args.t},
+        key="paths", noun="paths", kind="rect paths", what=f"rect paths for s={args.s}, t={args.t}",
+        to_json=lambda path: path.to_json(), to_text=lambda path: " ".join(path.steps),
+        write=_svg_writer(args.svg),
     )
 
 
 def cmd_paths_gd(args) -> int:
-    return _emit_paths(
-        args, "generalized paths",
-        lambda: count_gd(args.n, args.k),
+    return _listing(
+        args, {"n": args.n, "k": args.k}, lambda: count_gd(args.n, args.k),
         lambda cap: enumerate_gd(args.n, args.k, max_items=cap),
-        {"n": args.n, "k": args.k},
+        key="paths", noun="paths", kind="generalized paths",
+        what=f"generalized paths for n={args.n}, k={args.k}",
+        to_json=lambda path: path.to_json(), to_text=lambda path: " ".join(path.steps),
+        write=_svg_writer(args.svg, labels=args.labels),
     )
 
 
@@ -351,7 +316,8 @@ def cmd_verify(args) -> int:
     runners = {
         "symmetry": lambda: check_symmetry_range(args.min_s, max_s(25), jobs=args.jobs),
         "popoviciu": lambda: check_popoviciu_range(args.max_t, jobs=args.jobs),
-        "identity": lambda: check_catalan_identity_range(args.max_n, jobs=args.jobs),
+        "identity": lambda: check_catalan_identity_range(
+            args.max_n, max_hessenberg=min(args.max_n, 12), jobs=args.jobs),
         "motzkin": lambda: check_motzkin_range(max_s(20), jobs=args.jobs),
         "gf": lambda: check_gf_range(args.max_p, args.terms, jobs=args.jobs),
         "conjecture": lambda: check_conjecture_range(args.min_s, max_s(10), jobs=args.jobs),
@@ -369,20 +335,6 @@ def cmd_verify(args) -> int:
             for note in r.notes:
                 print(f"  {note}")
     return 0 if all(r.passed for r in reports) else 2
-
-
-def _load_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _report_roundtrip(kind: str, recorded, fresh) -> int:
-    # every canonical field must match; extra recorded keys are fine
-    if isinstance(recorded, dict) and all(recorded.get(k) == v for k, v in fresh.items()):
-        print(f"{kind}: file matches a fresh enumeration")
-        return 0
-    print(f"{kind}: file does NOT match a fresh enumeration", file=sys.stderr)
-    return 2
 
 
 def main(argv=None) -> int:

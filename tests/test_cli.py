@@ -328,13 +328,31 @@ def test_max_items_must_be_positive(capsys):
                                message=f"--max-items: must be >= 1, got {cap}")
 
 
-def test_missing_from_file_exits_1_without_traceback(capsys, tmp_path):
+def test_missing_from_file_exits_1_without_traceback(capsys, monkeypatch, tmp_path):
+    import simcores.cli as cli_mod
+    from simcores.posets import GapPoset
+
+    # every listing command reads --from-file before it enumerates anything
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated before reading --from-file")
+
+    monkeypatch.setattr(GapPoset, "iter_lower_ideals", no_enumeration)
+    monkeypatch.setattr(cli_mod, "enumerate_rect_paths", no_enumeration)
+    monkeypatch.setattr(cli_mod, "enumerate_gd", no_enumeration)
     missing = str(tmp_path / "missing.json")
     for argv in (("ideals", "--gens", "5,7"), ("cores", "--gens", "5,7"),
-                 ("paths", "rect", "--s", "3", "--t", "5")):
+                 ("paths", "rect", "--s", "3", "--t", "5"), ("paths", "gd", "--n", "4", "--k", "3")):
         code, out, err = run_cli(capsys, *argv, "--from-file", missing)
         assert code == 1 and out == ""
         assert err.startswith("simcores:") and "missing.json" in err
+
+
+def test_labels_is_a_gd_only_flag(capsys, tmp_path):
+    target = tmp_path / "gd.svg"
+    code, out, _ = run_cli(capsys, "paths", "gd", "--n", "4", "--k", "3", "--svg", str(target), "--labels")
+    assert code == 0 and out == f"wrote 8 paths to {target}\n"
+    assert_usage_error(capsys, "paths", "rect", "--s", "3", "--t", "5", "--svg", str(tmp_path / "r.svg"),
+                       "--labels", message="unrecognized arguments: --labels")
 
 
 def test_conjecture_strategy_mismatch_is_a_failure(capsys, monkeypatch):
@@ -376,12 +394,20 @@ def test_verify_all_applies_the_range_flags(capsys):
     assert headers == [
         "PASS twin-gap symmetry [odd s in [4, 5]] 1",
         "PASS two-generator counting [coprime s < t <= 3, m <= st] 3",
-        "PASS alternating Catalan identity [identity n in [2, 4]; Hessenberg determinant n <= 12] 15",
+        "PASS alternating Catalan identity [identity n in [2, 4]; Hessenberg determinant n <= 4] 7",
         "PASS Motzkin sum identity [s <= 5] 6",
         "PASS closed generating function [p <= 1, 3 terms] 1",
         "PASS total-size conjecture [s in [4, 5]] 2",
         "PASS equinumerosity [pairs with s+t <= 5; consecutive n <= 2, k <= 1] 7",
     ]
+
+
+def test_verify_identity_caps_the_hessenberg_range_at_12(capsys):
+    # --max-n narrows the determinant half (see the verify all pin) but never widens it past 12
+    for argv, max_n in (((), 30), (("--max-n", "13"), 13)):
+        code, out, _ = run_cli(capsys, "verify", "identity", *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)[0]["tested"] == f"identity n in [2, {max_n}]; Hessenberg determinant n <= 12"
 
 
 def test_verify_range_flags_must_be_positive(capsys):
