@@ -144,7 +144,8 @@ def build_parser() -> _Parser:
         choices=("all", "symmetry", "popoviciu", "identity", "motzkin", "gf",
                  "conjecture", "equinumerous"),
     )
-    p_verify.add_argument("--min-s", type=int, default=3)
+    # symmetry and conjecture both start at s = 3
+    p_verify.add_argument("--min-s", type=lambda text: _int_at_least(text, 3), default=3)
     p_verify.add_argument("--max-s", type=int, default=None)
     # the alternating Catalan identity starts at n = 2
     p_verify.add_argument("--max-n", type=lambda text: _int_at_least(text, 2), default=30)

@@ -300,6 +300,75 @@ def gd_to_ideal(path: GeneralizedDyckPath, poset: GapPoset | None = None) -> fro
     return ideal
 
 
+def gd_size_totals(n: int, k: int) -> tuple[int, int]:
+    """(number, total size) of the cores for {n, ..., n+k}, with no path built.
+
+    A dynamic program over the lattice points 0 <= x <= y <= n of
+    enumerate_gd's walk, taking the same steps.  Every column is crossed by
+    exactly one step with dx > 0, and gd_to_ideal collects that column's
+    labels strictly below the height the step ends at, so a step from (x, y)
+    to (x+dx, y+dy) adds the labels in columns x .. x+dx-1 below y+dy.
+
+    The first-column hook set I of a core has size |I| = K and sum S, and
+    the core has size S - K(K-1)/2.  Each point carries the moments
+    (N, sum S, sum K, sum K^2) over the paths reaching it; a step adding c
+    labels of sum sigma maps them to
+    (N, S + N sigma, K + N c, K^2 + 2c K + N c^2).  Polynomial: O(n^2 k)
+    steps.  N is checked against multi_catalan(n, k).
+    """
+    if n < 1 or k < 1:
+        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    by_column: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for cx, cy, label in _cell_label_table(n, k):
+        by_column[cx].append((cy, label))
+    # below[x][h] = (count, sum) of the labels in column x under height h
+    below = []
+    for labels in by_column:
+        labels.sort()
+        row, c, sigma, j = [], 0, 0, 0
+        for h in range(n + 1):
+            while j < len(labels) and labels[j][0] < h:
+                c, sigma, j = c + 1, sigma + labels[j][1], j + 1
+            row.append((c, sigma))
+        below.append(row)
+    steps = [(0, k), (k, 0)] + [(i, i) for i in range(1, k)]
+    width = n + 1
+    moments = [(0, 0, 0, 0)] * (width * width)  # moments[y * width + x]
+    moments[0] = (1, 0, 0, 0)
+    # every step raises y or keeps y and raises x, so row-major order is topological
+    for y in range(n + 1):
+        for x in range(y + 1):
+            cnt, s_sum, k_sum, k2_sum = moments[y * width + x]
+            if not cnt:
+                continue
+            for dx, dy in steps:
+                nx, ny = x + dx, y + dy
+                if ny > n or nx > ny:
+                    continue
+                c = sigma = 0
+                for col in range(x, nx):
+                    dc, dsigma = below[col][ny]
+                    c, sigma = c + dc, sigma + dsigma
+                at = ny * width + nx
+                old_n, old_s, old_k, old_k2 = moments[at]
+                moments[at] = (
+                    old_n + cnt,
+                    old_s + s_sum + cnt * sigma,
+                    old_k + k_sum + cnt * c,
+                    old_k2 + k2_sum + 2 * c * k_sum + cnt * c * c,
+                )
+    count, s_sum, k_sum, k2_sum = moments[-1]
+    if count != multi_catalan(n, k):
+        raise InvariantError(
+            f"path DP counts {count} generalized ({n},{k}) paths, multi_catalan says "
+            f"{multi_catalan(n, k)}"
+        )
+    pairs, odd = divmod(k2_sum - k_sum, 2)
+    if odd:
+        raise InvariantError(f"path DP: sum of K^2 - K is odd ({k2_sum - k_sum}) for ({n},{k})")
+    return count, s_sum - pairs
+
+
 # ---------------------------------------------------------------------------
 # SVG rendering
 

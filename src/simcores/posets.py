@@ -124,22 +124,37 @@ class GapPoset:
             mask |= 1 << i
             chosen.append(gaps[i])
 
-    def count_lower_ideals(self, max_states: int | None = COUNT_CAP) -> int:
-        """Number of lower ideals, by dynamic programming over the gaps in increasing value.
+    def _window_steps(self) -> Iterator[tuple[int, int, int, int]]:
+        """The per-gap rule of the window DPs over the gaps in increasing value.
 
         Only values within max(generators) of the current gap g can be lower
         covers of g or of a later gap, so a state is the membership pattern of
-        those values: bit d says whether g - d is in the ideal.  Moving to the
-        next gap shifts every key left by the distance and drops the bits that
-        fall out of range, merging keys that become equal.  Independent of the
-        closed multi-Catalan recursion.
+        those values: bit d says whether g - d is in the ideal.  Moving to g
+        shifts every key left by `shift` and keeps the bits in `in_range`,
+        merging keys that become equal; g may then join a state's ideal when
+        the key holds all of `need`, g's lower covers, and joining sets bit 0.
+        Yields (g, shift, in_range, need) per gap.
         """
         in_range = (1 << (self.generators[-1] + 1)) - 1
-        states: dict[int, int] = {0: 1}
         prev = 0
         for g in self.gaps:
-            shift, prev = g - prev, g
-            need = sum(1 << (g - c) for c in self._lower[g])
+            yield g, g - prev, in_range, sum(1 << (g - c) for c in self._lower[g])
+            prev = g
+
+    def _check_state_count(self, states: dict, max_states: int | None) -> None:
+        if max_states is not None and len(states) > max_states:
+            raise EnumerationCapError(
+                f"ideal-counting state space for P_{list(self.generators)}", max_states
+            )
+
+    def count_lower_ideals(self, max_states: int | None = COUNT_CAP) -> int:
+        """Number of lower ideals, by dynamic programming over the gaps in increasing value.
+
+        The states and moves are those of _window_steps, with a count per key.
+        Independent of the closed multi-Catalan recursion.
+        """
+        states: dict[int, int] = {0: 1}
+        for _, shift, in_range, need in self._window_steps():
             nxt: dict[int, int] = {}
             for key, cnt in states.items():
                 key = (key << shift) & in_range
@@ -149,11 +164,45 @@ class GapPoset:
                 if key & need == need:
                     nxt[key | 1] = cnt
             states = nxt
-            if max_states is not None and len(states) > max_states:
-                raise EnumerationCapError(
-                    f"ideal-counting state space for P_{list(self.generators)}", max_states
-                )
+            self._check_state_count(states, max_states)
         return sum(states.values())
+
+    def core_size_totals(self, max_states: int | None = COUNT_CAP) -> tuple[int, int]:
+        """(number, total size) of the simultaneous cores, with no ideal built.
+
+        The window DP of count_lower_ideals, carrying per key the moments
+        (N, sum S, sum K, sum K^2) of the ideals' sums S and sizes K.  Adding
+        gap g to every ideal of a key maps them to (N, S + N g, K + N,
+        K^2 + 2K + N), and the core of an ideal has size S - K(K-1)/2
+        (ideal_to_core reads the ideal as first-column hooks).  Exponential
+        in max(generators) like the count, but valid for any generators.
+        """
+        states: dict[int, tuple[int, int, int, int]] = {0: (1, 0, 0, 0)}
+        for g, shift, in_range, need in self._window_steps():
+            nxt: dict[int, tuple[int, int, int, int]] = {}
+            for key, here in states.items():
+                key = (key << shift) & in_range
+                old = nxt.get(key)
+                if old is not None:
+                    n0, s0, k0, q0 = old
+                    n1, s1, k1, q1 = here
+                    here = (n0 + n1, s0 + s1, k0 + k1, q0 + q1)
+                nxt[key] = here
+            # shifted keys have bit 0 clear, so the keys with g included are new
+            included = {
+                key | 1: (cnt, s_sum + cnt * g, k_sum + cnt, k2_sum + 2 * k_sum + cnt)
+                for key, (cnt, s_sum, k_sum, k2_sum) in nxt.items() if key & need == need
+            }
+            nxt.update(included)
+            states = nxt
+            self._check_state_count(states, max_states)
+        count, s_sum, k_sum, k2_sum = map(sum, zip(*states.values()))
+        pairs, odd = divmod(k2_sum - k_sum, 2)
+        if odd:
+            raise InvariantError(
+                f"window DP: sum of K^2 - K is odd ({k2_sum - k_sum}) for P_{list(self.generators)}"
+            )
+        return count, s_sum - pairs
 
     def to_dot(self, transitive_reduce: bool = False) -> str:
         """Hasse-style DOT digraph; edges point from each gap up to its covers."""

@@ -132,8 +132,8 @@ class PowerSeries:
 
         Computed in integers: with c = 4 * lcm(denominators), self(c x) is
         1 + 4u for an integer series u, so its square root H has integer
-        coefficients H_m = (F_m - sum_{i=1}^{m-1} H_i H_{m-i}) / 2, every
-        halving exact and checked.  Then g_m = H_m / c^m.
+        coefficients, computed by integer_sqrt_coefficients.  Then
+        g_m = H_m / c^m.
         """
         if self.coeffs[0] != 1:
             raise ExactDivisionError(
@@ -142,13 +142,7 @@ class PowerSeries:
         c = 4 * math.lcm(*(a.denominator for a in self.coeffs))
         powers = list(accumulate(repeat(c, self.order), mul, initial=1))
         scaled = [a.numerator * (cm // a.denominator) for a, cm in zip(self.coeffs, powers)]
-        h = [1]
-        for m in range(1, self.order + 1):
-            twice = scaled[m] - sum(map(mul, h[1:m], reversed(h[1:m])))
-            if twice & 1:
-                raise InvariantError(f"series sqrt: the scaled root has an odd coefficient at x^{m}")
-            h.append(twice >> 1)
-        return PowerSeries(map(Fraction, h, powers), self.order)
+        return PowerSeries(map(Fraction, integer_sqrt_coefficients(scaled), powers), self.order)
 
     def integer_coefficients(self) -> list[int]:
         """All coefficients as ints; raises if any is non-integral."""
@@ -175,6 +169,24 @@ class PowerSeries:
 
     def __repr__(self) -> str:
         return f"PowerSeries({[str(a) for a in self.coeffs]}, order={self.order})"
+
+
+def integer_sqrt_coefficients(coeffs: list[int]) -> list[int]:
+    """Coefficients of the square root, with constant term 1, of an integer series.
+
+    coeffs[0] must be 1.  The root H obeys 2 H_m = F_m - sum_{i=1}^{m-1}
+    H_i H_{m-i}; each halving is checked, and an odd value (the root is not
+    integral) raises InvariantError.  Truncated at the length of coeffs.
+    """
+    if coeffs[0] != 1:
+        raise InvariantError(f"integer series sqrt needs constant term 1, got {coeffs[0]}")
+    h = [1]
+    for m in range(1, len(coeffs)):
+        twice = coeffs[m] - sum(map(mul, h[1:m], reversed(h[1:m])))
+        if twice & 1:
+            raise InvariantError(f"integer series sqrt: the root has a non-integer coefficient at x^{m}")
+        h.append(twice >> 1)
+    return h
 
 
 def _coerce(value, order: int) -> PowerSeries:

@@ -11,15 +11,22 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable, Iterable
 
 from .errors import InvariantError, NonCoprimeError
 from .exact import binomial, catalan_number, det_exact, det_qpoly, hessenberg_catalan_det
 from .partitions import Partition, subpartitions
-from .paths import count_rect_paths, enumerate_gd, enumerate_rect_paths, gd_to_ideal
+from .paths import (
+    count_rect_paths,
+    enumerate_gd,
+    enumerate_rect_paths,
+    gd_size_totals,
+    gd_to_ideal,
+)
 from .posets import build_gap_poset, consecutive_poset, ideal_to_core, multi_catalan
 from .qpoly import QPolynomial, q_binomial
-from .series import PowerSeries
+from .series import integer_sqrt_coefficients
 
 
 @dataclass
@@ -242,8 +249,15 @@ def gf_coefficients(p: int, n_terms: int) -> list[int]:
 
     The closed form with radical parameter r expands to the sequence for
     p = r - 1 consecutive extra generators, so r = p + 1 here (r = 2 gives
-    Catalan numbers, r = 3 Motzkin).  Divisibility by 2 x^(r-1) and
-    integrality of every coefficient are checked, not assumed.
+    Catalan numbers, r = 3 Motzkin):
+
+        (2 - 2x - a - sqrt(a^2 - 4x^2)) / (2 x^(r-1)),
+        a = 1 - x + (x^2 - x^(r-1)) / (1 - x).
+
+    Every series is an integer coefficient list: (x^2 - x^(r-1)) / (1 - x)
+    is a polynomial, read off as a prefix sum, and the root is taken by
+    integer_sqrt_coefficients.  Divisibility by 2 x^(r-1) and integrality
+    of every coefficient are checked, not assumed (InvariantError).
     """
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
@@ -251,32 +265,45 @@ def gf_coefficients(p: int, n_terms: int) -> list[int]:
         raise ValueError(f"need n_terms >= 1, got {n_terms}")
     r = p + 1
     order = n_terms + r
-    one = PowerSeries.constant(1, order)
-    x = PowerSeries.monomial(1, 1, order)
-    correction = (PowerSeries.monomial(1, 2, order) - PowerSeries.monomial(1, r - 1, order)).divide(one - x)
-    a = one - x + correction
-    radicand = a * a - 4 * x * x
-    numerator = PowerSeries.constant(2, order) - 2 * x - a - radicand.sqrt()
-    series = numerator.divide_monomial(r - 1, 2)
-    return series.integer_coefficients()[:n_terms]
+    # coefficient j of (x^2 - x^(r-1)) / (1 - x) is [j >= 2] - [j >= r-1]
+    a = [(j >= 2) - (j >= r - 1) for j in range(order + 1)]
+    a[0] += 1
+    a[1] -= 1
+    radicand = [sum(map(mul, a[:m + 1], reversed(a[:m + 1]))) for m in range(order + 1)]
+    radicand[2] -= 4
+    root = integer_sqrt_coefficients(radicand)
+    numerator = [-ai - hi for ai, hi in zip(a, root)]
+    numerator[0] += 2
+    numerator[1] -= 2
+    shift = r - 1
+    if any(numerator[:shift]):
+        raise InvariantError(f"gf numerator for p={p} is not divisible by x^{shift}")
+    if any(c & 1 for c in numerator[shift:]):
+        raise InvariantError(f"gf numerator for p={p} has an odd coefficient")
+    return [c >> 1 for c in numerator[shift:shift + n_terms]]
 
 
 def conjecture_total_size(s: int) -> tuple[int, int]:
     """Total size of all cores for {s, s+1, s+2} vs the weighted Motzkin sum.
 
-    lhs enumerates lower ideals and sizes their partitions; rhs is
-    sum_{j=0}^{s-2} C(j+3, 3) * multi_catalan(j, 2).
+    lhs comes from the polynomial path DP (paths.gd_size_totals), which
+    builds no core; rhs is sum_{j=0}^{s-2} C(j+3, 3) * multi_catalan(j, 2).
+    The paper conjectured lhs = rhs; Yang, Zhong and Zhou proved it (On the
+    enumeration of (s, s+1, s+2)-core partitions, Eur. J. Combin. 2015).
     """
     if s < 3:
         raise ValueError(f"need s >= 3, got {s}")
-    poset = consecutive_poset(s, 2)
-    lhs = sum(ideal_to_core(poset, ideal).size for ideal in poset.iter_lower_ideals())
+    _, lhs = gd_size_totals(s, 2)
     rhs = sum(binomial(j + 3, 3) * multi_catalan(j, 2) for j in range(s - 1))
     return lhs, rhs
 
 
 def total_core_size_via_paths(s: int) -> int:
-    """Independent lhs for the total-size conjecture, via generalized paths."""
+    """Total size of the cores for {s, s+1, s+2} by enumerating generalized paths.
+
+    Builds every core through gd_to_ideal and ideal_to_core; exponential in
+    s, so it is kept as a test oracle for the DPs and no check runs it.
+    """
     poset = consecutive_poset(s, 2)
     total = 0
     seen = set()
@@ -434,18 +461,39 @@ def check_gf_range(max_p: int = 3, terms: int = 20, jobs: int = 1) -> CheckRepor
     return _run_report("closed generating function", f"p <= {max_p}, {terms} terms", instances, jobs=jobs)
 
 
+# the conjecture's lhs is cross-checked by the window DP up to this s (its
+# cost grows about x2.3 per +1) and by ideal enumeration up to this s (x2.7)
+CONJECTURE_WINDOW_MAX_S = 16
+CONJECTURE_ENUM_MAX_S = 12
+
+
 def check_conjecture_range(min_s: int = 3, max_s: int = 10, jobs: int = 1) -> CheckReport:
+    """The total-size conjecture for s in [min_s, max_s], building no core past s = 12.
+
+    Each lhs comes from the path DP and is compared with the window-moment
+    DP for s <= CONJECTURE_WINDOW_MAX_S and with the sum of the enumerated
+    cores' sizes for s <= CONJECTURE_ENUM_MAX_S; a disagreement is the
+    instance's failure.
+    """
     instances = []
     for s in range(min_s, max_s + 1):
         def thunk(s=s):
             lhs, rhs = conjecture_total_size(s)
-            lhs_paths = total_core_size_via_paths(s)
-            if lhs != lhs_paths:
-                return False, f"the two enumeration strategies disagree ({lhs} vs {lhs_paths})"
+            oracles = []
+            if s <= CONJECTURE_WINDOW_MAX_S:
+                poset = consecutive_poset(s, 2)
+                oracles.append(("the window DP", poset.core_size_totals()[1]))
+                if s <= CONJECTURE_ENUM_MAX_S:
+                    oracles.append(("ideal enumeration", sum(
+                        ideal_to_core(poset, ideal).size for ideal in poset.iter_lower_ideals())))
+            for route, other in oracles:
+                if other != lhs:
+                    return False, f"the path DP and {route} disagree ({lhs} vs {other})"
             ok = lhs == rhs
             detail = f"lhs={lhs} rhs={rhs}"
             if not ok:
-                detail = f"counterexample to the total-size conjecture: {detail} (lhs double-checked)"
+                checked = ", ".join(["the path DP"] + [route for route, _ in oracles])
+                detail = f"counterexample to the total-size conjecture: {detail} (lhs by {checked})"
             return ok, detail
         instances.append((f"s={s}", thunk))
     return _run_report("total-size conjecture", f"s in [{min_s}, {max_s}]", instances, jobs=jobs)

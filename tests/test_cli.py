@@ -79,6 +79,8 @@ def test_usage_errors_exit_1(capsys):
                        (("count", "multi-catalan", "--s", "3", "--p", "-4"), "--p")):
         value = argv[argv.index(flag) + 1]
         assert_usage_error(capsys, *argv, message=f"{flag}: must be >= 1, got {value}")
+    for which in ("symmetry", "conjecture", "all"):
+        assert_usage_error(capsys, "verify", which, "--min-s", "1", message="--min-s: must be >= 3, got 1")
 
 
 def test_ideals_count_only(capsys):
@@ -358,11 +360,29 @@ def test_labels_is_a_gd_only_flag(capsys, tmp_path):
 def test_conjecture_strategy_mismatch_is_a_failure(capsys, monkeypatch):
     import simcores.verify as verify_mod
 
-    monkeypatch.setattr(verify_mod, "total_core_size_via_paths", lambda s: -1)
     lhs, _ = verify_mod.conjecture_total_size(5)
+    monkeypatch.setattr(verify_mod, "gd_size_totals", lambda n, k: (multi_catalan(n, k), -1))
     code, out, _ = run_cli(capsys, "verify", "conjecture", "--min-s", "5", "--max-s", "5")
     assert code == 2 and out.startswith("FAIL")
-    assert f"first counterexample: s=5: the two enumeration strategies disagree ({lhs} vs -1)" in out
+    assert f"first counterexample: s=5: the path DP and the window DP disagree (-1 vs {lhs})" in out
+
+
+def test_conjecture_check_builds_no_core_past_its_oracle_ranges(capsys, monkeypatch):
+    import simcores.paths as paths_mod
+    import simcores.posets as posets_mod
+    import simcores.verify as verify_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the conjecture check enumerated objects")
+
+    monkeypatch.setattr(posets_mod.GapPoset, "iter_lower_ideals", refuse)
+    monkeypatch.setattr(paths_mod, "enumerate_gd", refuse)
+    monkeypatch.setattr(verify_mod, "enumerate_gd", refuse)
+    code, out, _ = run_cli(capsys, "verify", "conjecture", "--min-s", "13", "--max-s", "16")
+    assert code == 0 and out.startswith("PASS total-size conjecture [s in [13, 16]] 4 instances")
+    monkeypatch.setattr(posets_mod.GapPoset, "core_size_totals", refuse)
+    code, out, _ = run_cli(capsys, "verify", "conjecture", "--min-s", "17", "--max-s", "40")
+    assert code == 0 and out.startswith("PASS total-size conjecture [s in [17, 40]] 24 instances")
 
 
 def test_counts_past_the_int_to_str_digit_limit_print(capsys):

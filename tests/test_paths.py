@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -14,10 +15,11 @@ from simcores.paths import (
     diagonal_partition,
     enumerate_gd,
     enumerate_rect_paths,
+    gd_size_totals,
     gd_to_ideal,
     svg_paths,
 )
-from simcores.posets import consecutive_poset, multi_catalan
+from simcores.posets import consecutive_poset, core_to_ideal, ideal_to_core, multi_catalan
 
 
 def test_count_rect_paths():
@@ -185,6 +187,43 @@ def test_gd_to_ideal_bijection():
             assert len(set(images)) == len(images), (n, k)
             assert set(images) == ideals, (n, k)
             assert len(images) == multi_catalan(n, k)
+
+
+@lru_cache(maxsize=None)
+def path_ideals_and_cores(n, k):
+    # (ideal, core) of every generalized (n, k) path, shared by the tests below
+    poset = consecutive_poset(n, k)
+    pairs = []
+    for path in enumerate_gd(n, k):
+        ideal = gd_to_ideal(path, poset)
+        pairs.append((ideal, ideal_to_core(poset, ideal)))
+    return pairs
+
+
+def test_gd_size_totals_match_path_enumeration():
+    for n, k in [(n, k) for n in range(1, 11) for k in range(1, 4)] + [(12, 2)]:
+        cores = [core for _, core in path_ideals_and_cores(n, k)]
+        assert len(cores) == multi_catalan(n, k), (n, k)
+        assert gd_size_totals(n, k) == (len(cores), sum(core.size for core in cores)), (n, k)
+    with pytest.raises(ValueError):
+        gd_size_totals(0, 2)
+
+
+def test_path_and_window_size_totals_agree():
+    for s in range(1, 17):
+        assert gd_size_totals(s, 2) == consecutive_poset(s, 2).core_size_totals(), s
+
+
+def test_gd_round_trip_through_cores():
+    # path -> ideal -> core -> ideal, for every consecutive run with n <= 9, k <= 3
+    for n in range(1, 10):
+        for k in range(1, 4):
+            poset = consecutive_poset(n, k)
+            pairs = path_ideals_and_cores(n, k)
+            for ideal, core in pairs:
+                assert core.is_multicore(poset.generators), (n, k, ideal)
+                assert core_to_ideal(core, poset) == ideal, (n, k, ideal)
+            assert len({core for _, core in pairs}) == len(pairs) == multi_catalan(n, k), (n, k)
 
 
 def test_gd_to_ideal_4_3_matches_antichain():

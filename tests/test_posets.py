@@ -170,11 +170,42 @@ def test_count_matches_enumeration_on_random_generator_sets():
             continue
         ideals = list(poset.iter_lower_ideals())
         assert poset.count_lower_ideals() == len(ideals), gens
+        total_size = 0
         for ideal in ideals:
             core = ideal_to_core(poset, ideal)
             assert core.is_multicore(gens), (gens, ideal)
             assert core_to_ideal(core, poset) == ideal, (gens, ideal)
+            total_size += core.size
+        assert poset.core_size_totals() == (len(ideals), total_size), gens
         checked += 1
+
+
+def enumerated_size_totals(poset):
+    sizes = [ideal_to_core(poset, ideal).size for ideal in poset.iter_lower_ideals()]
+    return len(sizes), sum(sizes)
+
+
+def test_core_size_totals_match_enumeration_on_pairs():
+    for s in range(1, 22):
+        for t in range(s, 23 - s):
+            if math.gcd(s, t) == 1:
+                poset = build_gap_poset((s, t))
+                assert poset.core_size_totals() == enumerated_size_totals(poset), (s, t)
+
+
+def test_core_size_totals_match_enumeration_on_consecutive_runs():
+    for k, max_s in ((1, 10), (2, 12), (3, 12)):
+        for s in range(1, max_s + 1):
+            poset = consecutive_poset(s, k)
+            assert poset.core_size_totals() == enumerated_size_totals(poset), (s, k)
+
+
+def test_core_size_totals_share_the_count_state_cap():
+    poset = build_gap_poset((9, 11))
+    assert poset.core_size_totals(max_states=512)[0] == binomial(20, 9) // 20
+    with pytest.raises(EnumerationCapError) as err:
+        poset.core_size_totals(max_states=511)
+    assert str(err.value).startswith("ideal-counting state space for P_[9, 11]")
 
 
 @pytest.mark.parametrize("gens, peak", [((5, 7), 32), ((7, 9), 128), ((9, 11), 512), ((13, 17), 18432)])

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from simcores.errors import ExactDivisionError
-from simcores.series import PowerSeries, geometric_series
+from simcores.errors import ExactDivisionError, InvariantError
+from simcores.series import PowerSeries, geometric_series, integer_sqrt_coefficients
 
 
 def test_construction_pads_and_truncates():
@@ -117,20 +117,35 @@ def test_sqrt_squares_back_on_random_rational_series():
 
 
 def test_sqrt_squares_back_on_the_generating_function_radicand(monkeypatch):
-    from simcores.verify import gf_coefficients
+    # gf_coefficients takes its root with the integer kernel behind
+    # PowerSeries.sqrt; both must give the same integral root, squaring back
+    import simcores.verify as verify_mod
 
     calls = []
-    real_sqrt = PowerSeries.sqrt
+    real_sqrt = verify_mod.integer_sqrt_coefficients
 
-    def recording_sqrt(self):
-        root = real_sqrt(self)
-        calls.append((self, root))
+    def recording_sqrt(coeffs):
+        root = real_sqrt(coeffs)
+        calls.append((coeffs, root))
         return root
 
-    monkeypatch.setattr(PowerSeries, "sqrt", recording_sqrt)
+    monkeypatch.setattr(verify_mod, "integer_sqrt_coefficients", recording_sqrt)
     for p in range(1, 5):
-        gf_coefficients(p, 60)
+        verify_mod.gf_coefficients(p, 60)
     assert len(calls) == 4
-    for radicand, root in calls:
+    for coeffs, integer_root in calls:
+        radicand = PowerSeries(coeffs, len(coeffs) - 1)
+        root = radicand.sqrt()
         assert root * root == radicand
         assert all(a.denominator == 1 for a in root.coeffs)
+        assert root.coeffs == tuple(integer_root)
+
+
+def test_integer_sqrt_coefficients():
+    # (1 - 4x)^(1/2) = 1 - 2x - 2x^2 - 4x^3 - 10x^4: minus twice the shifted Catalan numbers
+    assert integer_sqrt_coefficients([1, -4, 0, 0, 0]) == [1, -2, -2, -4, -10]
+    assert integer_sqrt_coefficients([1, 2, 1]) == [1, 1, 0]
+    with pytest.raises(InvariantError):
+        integer_sqrt_coefficients([1, 1])  # sqrt(1 + x) starts 1 + x/2
+    with pytest.raises(InvariantError):
+        integer_sqrt_coefficients([4, 4, 1])
