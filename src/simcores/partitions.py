@@ -30,6 +30,13 @@ class Partition:
                     raise ValueError(f"parts must be weakly decreasing, got {p}")
         self.parts = tuple(p)
 
+    @classmethod
+    def _from_parts(cls, parts: tuple[int, ...]) -> "Partition":
+        """A partition from a tuple its caller built positive and weakly decreasing."""
+        p = object.__new__(cls)
+        p.parts = parts
+        return p
+
     @property
     def size(self) -> int:
         return sum(self.parts)
@@ -137,7 +144,8 @@ def partition_from_hooks(hooks: Iterable[int]) -> Partition:
     hs = sorted(set(map(int, hooks)))
     if hs and hs[0] < 1:
         raise ValueError(f"hook values must be positive, got {hs[0]}")
-    return Partition([h - j for j, h in enumerate(hs)][::-1])
+    # distinct positive hooks give positive, weakly decreasing parts
+    return Partition._from_parts(tuple([h - j for j, h in enumerate(hs)][::-1]))
 
 
 def subpartitions(p: Partition, max_items: int | None = None) -> Iterator[Partition]:

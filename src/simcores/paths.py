@@ -13,7 +13,9 @@ and k = 2 encodes Motzkin paths.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import lru_cache
+from itertools import accumulate, chain
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EnumerationCapError, InvariantError, NonCoprimeError
@@ -121,6 +123,7 @@ def _lattice_walks(moves: Sequence[tuple[str, int, int]], target: tuple[int, int
     (naming `what`) on reaching walk max_items + 1.
     """
     tx, ty = target
+    n_moves = len(moves)
     steps: list[str] = []
     stack = [(0, 0, 0)]
     count = 0
@@ -131,8 +134,8 @@ def _lattice_walks(moves: Sequence[tuple[str, int, int]], target: tuple[int, int
             if max_items is not None and count > max_items:
                 raise EnumerationCapError(what, max_items)
             yield steps
-            m = len(moves)  # nothing is admissible from the target
-        while m < len(moves):
+            m = n_moves  # nothing is admissible from the target
+        while m < n_moves:
             name, dx, dy = moves[m]
             m += 1
             nx, ny = x + dx, y + dy
@@ -183,6 +186,13 @@ class GeneralizedDyckPath:
             raise ValueError(f"path ends at ({x}, {y}), expected ({n}, {n})")
         self.n, self.k = n, k
         self.steps = tuple(steps)
+
+    @classmethod
+    def _from_walk(cls, n: int, k: int, steps: Sequence[str]) -> "GeneralizedDyckPath":
+        """A path from steps that _lattice_walks already kept on or above y = x."""
+        path = object.__new__(cls)
+        path.n, path.k, path.steps = n, k, tuple(steps)
+        return path
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GeneralizedDyckPath):
@@ -237,10 +247,16 @@ def enumerate_gd(n: int, k: int, max_items: int | None = LIST_CAP) -> Iterator[G
     """All generalized (n,k) paths; step order Nk, Ek, D1..D(k-1) at each branch."""
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    step_names = [f"N{k}", f"E{k}"] + [f"D{i}" for i in range(1, k)]
-    moves = [(name, *_step_displacement(name, k)) for name in step_names]
+    moves = [(name, dx, dy) for name, (dx, dy) in _gd_moves(k).items()]
     for steps in _lattice_walks(moves, (n, n), max_items, f"generalized ({n},{k}) paths"):
-        yield GeneralizedDyckPath(n, k, steps)
+        yield GeneralizedDyckPath._from_walk(n, k, steps)
+
+
+@lru_cache(maxsize=64)
+def _gd_moves(k: int) -> dict[str, tuple[int, int]]:
+    """Displacement of every step name, in enumerate_gd's order Nk, Ek, D1..D(k-1)."""
+    return {name: _step_displacement(name, k)
+            for name in [f"N{k}", f"E{k}"] + [f"D{i}" for i in range(1, k)]}
 
 
 def diagonal_cell_labels(n: int, k: int) -> dict[tuple[int, int], int]:
@@ -267,6 +283,32 @@ def _cell_label_table(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=64)
+def _column_labels(n: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Per column x, (labels, cut): the column's labels bottom to top, which is
+    increasing order, and cut[h] = how many of them lie strictly below height h."""
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for cx, cy, label in _cell_label_table(n, k):
+        columns[cx].append((cy, label))
+    out = []
+    for cells in columns:
+        cells.sort()
+        heights = [cy for cy, _ in cells]
+        out.append((tuple(label for _, label in cells),
+                    tuple(bisect_left(heights, h) for h in range(n + 1))))
+    return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def _step_labels(n: int, k: int) -> dict[str, tuple[int, int, dict[int, tuple[int, ...]]]]:
+    """Per step name, (dx, dy * (n+1), taken): a step that starts in column x
+    and rises to height y takes taken[y * (n+1) + x], the labels below y in
+    the columns x .. x+dx-1 it crosses.  gd_to_ideal fills `taken` on first
+    use, so its size follows the points that paths have visited; an entry
+    is one assignment of a fixed value, so threads may race to fill it."""
+    return {name: (dx, dy * (n + 1), {}) for name, (dx, dy) in _gd_moves(k).items()}
+
+
 def gd_to_ideal(path: GeneralizedDyckPath, poset: GapPoset | None = None) -> frozenset[int]:
     """Lower ideal of the consecutive poset for {n, ..., n+k} matching the path.
 
@@ -280,18 +322,23 @@ def gd_to_ideal(path: GeneralizedDyckPath, poset: GapPoset | None = None) -> fro
     n, k = path.n, path.k
     if poset is None:
         poset = consecutive_poset(n, k)
-    # height of the inflated path over each column: a step (dx, dy) rises
-    # first (D_i inflates to N^i E^i), then runs east at its new height
-    heights = [0] * n
-    x = y = 0
+    # a step (dx, dy) rises first (D_i inflates to N^i E^i), then runs east
+    # at its new height, so it takes the labels below that height in the
+    # columns it crosses
+    columns, moves = _column_labels(n, k), _step_labels(n, k)
+    labels: list[int] = []
+    at = 0  # y * (n+1) + x at the current point
     for step in path.steps:
-        dx, dy = _step_displacement(step, k)
-        y += dy
-        heights[x:x + dx] = [y] * dx
-        x += dx
-    ideal = frozenset(
-        label for cx, cy, label in _cell_label_table(n, k) if cy < heights[cx]
-    )
+        dx, rise, taken = moves[step]
+        at += rise
+        got = taken.get(at)
+        if got is None:
+            y, x = divmod(at, n + 1)
+            got = taken[at] = tuple(chain.from_iterable(
+                columns[cx][0][:columns[cx][1][y]] for cx in range(x, x + dx)))
+        labels += got
+        at += dx
+    ideal = frozenset(labels)
     if not poset.is_lower_ideal(ideal):
         raise InvariantError(
             f"label set {sorted(ideal)} from path {list(path.steps)} is not a lower "
@@ -318,20 +365,12 @@ def gd_size_totals(n: int, k: int) -> tuple[int, int]:
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    by_column: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for cx, cy, label in _cell_label_table(n, k):
-        by_column[cx].append((cy, label))
     # below[x][h] = (count, sum) of the labels in column x under height h
     below = []
-    for labels in by_column:
-        labels.sort()
-        row, c, sigma, j = [], 0, 0, 0
-        for h in range(n + 1):
-            while j < len(labels) and labels[j][0] < h:
-                c, sigma, j = c + 1, sigma + labels[j][1], j + 1
-            row.append((c, sigma))
-        below.append(row)
-    steps = [(0, k), (k, 0)] + [(i, i) for i in range(1, k)]
+    for labels, cut in _column_labels(n, k):
+        sums = [0, *accumulate(labels)]
+        below.append([(c, sums[c]) for c in cut])
+    steps = list(_gd_moves(k).values())
     width = n + 1
     moments = [(0, 0, 0, 0)] * (width * width)  # moments[y * width + x]
     moments[0] = (1, 0, 0, 0)

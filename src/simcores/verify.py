@@ -301,8 +301,9 @@ def conjecture_total_size(s: int) -> tuple[int, int]:
 def total_core_size_via_paths(s: int) -> int:
     """Total size of the cores for {s, s+1, s+2} by enumerating generalized paths.
 
-    Builds every core through gd_to_ideal and ideal_to_core; exponential in
-    s, so it is kept as a test oracle for the DPs and no check runs it.
+    Builds every core through gd_to_ideal and ideal_to_core and checks that
+    no two paths share an ideal; exponential in s, so the conjecture check
+    runs it only for s <= CONJECTURE_ENUM_MAX_S.
     """
     poset = consecutive_poset(s, 2)
     total = 0
@@ -462,7 +463,8 @@ def check_gf_range(max_p: int = 3, terms: int = 20, jobs: int = 1) -> CheckRepor
 
 
 # the conjecture's lhs is cross-checked by the window DP up to this s (its
-# cost grows about x2.3 per +1) and by ideal enumeration up to this s (x2.7)
+# cost grows about x2.3 per +1) and by ideal and path enumeration up to this
+# s (x2.7)
 CONJECTURE_WINDOW_MAX_S = 16
 CONJECTURE_ENUM_MAX_S = 12
 
@@ -471,9 +473,10 @@ def check_conjecture_range(min_s: int = 3, max_s: int = 10, jobs: int = 1) -> Ch
     """The total-size conjecture for s in [min_s, max_s], building no core past s = 12.
 
     Each lhs comes from the path DP and is compared with the window-moment
-    DP for s <= CONJECTURE_WINDOW_MAX_S and with the sum of the enumerated
-    cores' sizes for s <= CONJECTURE_ENUM_MAX_S; a disagreement is the
-    instance's failure.
+    DP for s <= CONJECTURE_WINDOW_MAX_S, and for s <= CONJECTURE_ENUM_MAX_S
+    with the summed sizes of the cores built from the enumerated lower
+    ideals and, independently, from the enumerated generalized paths; a
+    disagreement is the instance's failure.
     """
     instances = []
     for s in range(min_s, max_s + 1):
@@ -486,6 +489,7 @@ def check_conjecture_range(min_s: int = 3, max_s: int = 10, jobs: int = 1) -> Ch
                 if s <= CONJECTURE_ENUM_MAX_S:
                     oracles.append(("ideal enumeration", sum(
                         ideal_to_core(poset, ideal).size for ideal in poset.iter_lower_ideals())))
+                    oracles.append(("path enumeration", total_core_size_via_paths(s)))
             for route, other in oracles:
                 if other != lhs:
                     return False, f"the path DP and {route} disagree ({lhs} vs {other})"

@@ -367,6 +367,16 @@ def test_conjecture_strategy_mismatch_is_a_failure(capsys, monkeypatch):
     assert f"first counterexample: s=5: the path DP and the window DP disagree (-1 vs {lhs})" in out
 
 
+def test_conjecture_path_enumeration_mismatch_is_a_failure(capsys, monkeypatch):
+    import simcores.verify as verify_mod
+
+    lhs, _ = verify_mod.conjecture_total_size(5)
+    monkeypatch.setattr(verify_mod, "total_core_size_via_paths", lambda s: lhs + 1)
+    code, out, _ = run_cli(capsys, "verify", "conjecture", "--min-s", "5", "--max-s", "5")
+    assert code == 2 and out.startswith("FAIL")
+    assert f"s=5: the path DP and path enumeration disagree ({lhs} vs {lhs + 1})" in out
+
+
 def test_conjecture_check_builds_no_core_past_its_oracle_ranges(capsys, monkeypatch):
     import simcores.paths as paths_mod
     import simcores.posets as posets_mod

@@ -125,7 +125,9 @@ def test_hook_round_trips():
             assert partition_from_hooks(p.first_column_hooks()) == p
     for mask in range(1 << 10):
         hooks = frozenset(i + 1 for i in range(10) if mask >> i & 1)
-        assert partition_from_hooks(hooks).first_column_hooks() == hooks
+        p = partition_from_hooks(hooks)
+        assert p.first_column_hooks() == hooks
+        assert Partition(p.parts) == p  # built unchecked; must pass the constructor's checks
 
 
 def test_is_core_scan_agrees_with_hook_set_criterion():

@@ -131,7 +131,10 @@ def test_enumerate_gd():
     assert sum(1 for _ in enumerate_gd(4, 3)) == 8
     for n in range(1, 9):
         for k in range(1, 5):
-            assert sum(1 for _ in enumerate_gd(n, k)) == count_gd(n, k), (n, k)
+            paths = list(enumerate_gd(n, k))
+            assert len(paths) == count_gd(n, k), (n, k)
+            # the walk builds paths unchecked; each must pass the constructor's checks
+            assert all(GeneralizedDyckPath(n, k, p.steps) == p for p in paths), (n, k)
     assert {p.steps for p in enumerate_gd(2, 3)} == {("D1", "D1"), ("D2",)}
     with pytest.raises(EnumerationCapError) as err:
         list(enumerate_gd(6, 1, max_items=3))
@@ -176,6 +179,23 @@ def test_gd_to_ideal_extremes():
     assert gd_to_ideal(topmost, poset) == frozenset(poset.gaps)
     hugging = GeneralizedDyckPath(4, 2, ["D1"] * 4)
     assert gd_to_ideal(hugging, poset) == frozenset()
+
+
+def test_gd_to_ideal_matches_the_cells_under_the_inflated_path():
+    # oracle: the labelled cells (x, y) with y below the unit path's height over column x
+    for n in range(1, 9):
+        for k in range(1, 4):
+            poset = consecutive_poset(n, k)
+            labels = diagonal_cell_labels(n, k)
+            for path in enumerate_gd(n, k):
+                heights, y = [], 0
+                for step in path.inflate():
+                    if step == "N":
+                        y += 1
+                    else:
+                        heights.append(y)
+                expected = {label for (x, cy), label in labels.items() if cy < heights[x]}
+                assert gd_to_ideal(path, poset) == expected, (n, k, path.steps)
 
 
 def test_gd_to_ideal_bijection():
