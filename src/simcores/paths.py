@@ -32,6 +32,43 @@ def _require_coprime(s: int, t: int) -> None:
         raise NonCoprimeError(s, t, g)
 
 
+# ---------------------------------------------------------------------------
+# walks: a path is a sequence of step names, and `move` maps a name to its
+# displacement (dx, dy), raising ValueError for a name the family lacks
+
+_RECT_MOVES = {"N": (0, 1), "E": (1, 0)}
+
+
+def _rect_move(step: str) -> tuple[int, int]:
+    move = _RECT_MOVES.get(step)
+    if move is None:
+        raise ValueError(f"rectangle path steps must be N or E, got {step!r}")
+    return move
+
+
+def _points(steps: Iterable[str], move) -> Iterator[tuple[int, int]]:
+    """Every lattice point of the walk, from (0,0) on."""
+    x = y = 0
+    yield (x, y)
+    for step in steps:
+        dx, dy = move(step)
+        x, y = x + dx, y + dy
+        yield (x, y)
+
+
+def _check_walk(steps: Sequence[str], move, target: tuple[int, int]) -> tuple[str, ...]:
+    """The steps as a tuple, once the walk is checked to stay weakly above the
+    segment from (0,0) to target and to end at target."""
+    steps = tuple(steps)
+    tx, ty = target
+    for x, y in _points(steps, move):
+        if tx * y < ty * x:
+            raise ValueError(f"path dips below the diagonal at ({x}, {y})")
+    if (x, y) != target:
+        raise ValueError(f"path ends at ({x}, {y}), expected {target}")
+    return steps
+
+
 class RectPath:
     """N/E path from (0,0) to (t, s) staying weakly above y = (s/t)x."""
 
@@ -39,20 +76,19 @@ class RectPath:
 
     def __init__(self, s: int, t: int, steps: Sequence[str]):
         _require_coprime(s, t)
-        x = y = 0
-        for step in steps:
-            if step == "N":
-                y += 1
-            elif step == "E":
-                x += 1
-            else:
-                raise ValueError(f"rectangle path steps must be N or E, got {step!r}")
-            if t * y < s * x:
-                raise ValueError(f"path dips below the diagonal at ({x}, {y})")
-        if (x, y) != (t, s):
-            raise ValueError(f"path ends at ({x}, {y}), expected ({t}, {s})")
         self.s, self.t = s, t
-        self.steps = tuple(steps)
+        self.steps = _check_walk(steps, _rect_move, self.target)
+
+    @classmethod
+    def _from_walk(cls, s: int, t: int, steps: Sequence[str]) -> "RectPath":
+        """A path from steps that _lattice_walks already kept on or above the diagonal."""
+        path = object.__new__(cls)
+        path.s, path.t, path.steps = s, t, tuple(steps)
+        return path
+
+    @property
+    def target(self) -> tuple[int, int]:
+        return (self.t, self.s)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RectPath):
@@ -84,6 +120,9 @@ class RectPath:
         """Number of cells between the path and the top-left corner."""
         return sum(self.s - h for h in self.heights())
 
+    def points(self) -> Iterator[tuple[int, int]]:
+        return _points(self.steps, _RECT_MOVES.__getitem__)
+
     def to_json(self) -> list[str]:
         return list(self.steps)
 
@@ -106,23 +145,23 @@ def diagonal_partition(s: int, t: int) -> Partition:
 def enumerate_rect_paths(s: int, t: int, max_items: int | None = LIST_CAP) -> Iterator[RectPath]:
     """All (s, t) paths, N-step first at every branch (deterministic order)."""
     _require_coprime(s, t)
-    moves = (("N", 0, 1), ("E", 1, 0))
-    for steps in _lattice_walks(moves, (t, s), max_items, f"({s},{t}) rectangle paths"):
-        yield RectPath(s, t, steps)
+    for steps in _lattice_walks(_RECT_MOVES, (t, s), max_items, f"({s},{t}) rectangle paths"):
+        yield RectPath._from_walk(s, t, steps)
 
 
-def _lattice_walks(moves: Sequence[tuple[str, int, int]], target: tuple[int, int],
+def _lattice_walks(moves: dict[str, tuple[int, int]], target: tuple[int, int],
                    max_items: int | None, what: str) -> Iterator[list[str]]:
     """Step names of every walk from (0,0) to target that stays weakly above the
     segment joining them and never rises above target's height.
 
-    Depth first, trying `moves` (name, dx, dy) in the given order at each
+    Depth first, trying `moves` (name -> (dx, dy)) in their order at each
     point, as one loop over an explicit stack of (x, y, next move) frames,
     so path length is not limited by recursion depth.  The yielded list is
     reused: callers copy it before resuming.  Raises EnumerationCapError
     (naming `what`) on reaching walk max_items + 1.
     """
     tx, ty = target
+    moves = [(name, dx, dy) for name, (dx, dy) in moves.items()]
     n_moves = len(moves)
     steps: list[str] = []
     stack = [(0, 0, 0)]
@@ -153,19 +192,11 @@ def _lattice_walks(moves: Sequence[tuple[str, int, int]], target: tuple[int, int
 # generalized Dyck paths
 
 
-@lru_cache(maxsize=256)
 def _step_displacement(step: str, k: int) -> tuple[int, int]:
-    kind, amount = step[0], step[1:]
-    if not amount.isdigit():
-        raise ValueError(f"malformed step {step!r}")
-    a = int(amount)
-    if kind == "N" and a == k:
-        return (0, k)
-    if kind == "E" and a == k:
-        return (k, 0)
-    if kind == "D" and 1 <= a <= k - 1:
-        return (a, a)
-    raise ValueError(f"step {step!r} is not valid for k={k}")
+    move = _gd_moves(k).get(step)
+    if move is None:
+        raise ValueError(f"step {step!r} is not valid for k={k}")
+    return move
 
 
 class GeneralizedDyckPath:
@@ -176,16 +207,8 @@ class GeneralizedDyckPath:
     def __init__(self, n: int, k: int, steps: Sequence[str]):
         if n < 1 or k < 1:
             raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-        x = y = 0
-        for step in steps:
-            dx, dy = _step_displacement(step, k)
-            x, y = x + dx, y + dy
-            if y < x:
-                raise ValueError(f"path dips below y = x at ({x}, {y})")
-        if (x, y) != (n, n):
-            raise ValueError(f"path ends at ({x}, {y}), expected ({n}, {n})")
         self.n, self.k = n, k
-        self.steps = tuple(steps)
+        self.steps = _check_walk(steps, lambda step: _step_displacement(step, k), self.target)
 
     @classmethod
     def _from_walk(cls, n: int, k: int, steps: Sequence[str]) -> "GeneralizedDyckPath":
@@ -193,6 +216,10 @@ class GeneralizedDyckPath:
         path = object.__new__(cls)
         path.n, path.k, path.steps = n, k, tuple(steps)
         return path
+
+    @property
+    def target(self) -> tuple[int, int]:
+        return (self.n, self.n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GeneralizedDyckPath):
@@ -206,25 +233,16 @@ class GeneralizedDyckPath:
         return f"GeneralizedDyckPath({self.n}, {self.k}, {list(self.steps)})"
 
     def points(self) -> Iterator[tuple[int, int]]:
-        x = y = 0
-        yield (x, y)
-        for step in self.steps:
-            dx, dy = _step_displacement(step, self.k)
-            x, y = x + dx, y + dy
-            yield (x, y)
+        return _points(self.steps, _gd_moves(self.k).__getitem__)
 
     def inflate(self) -> tuple[str, ...]:
-        """Unit N/E path with each D_i replaced by N^i E^i; injective on paths."""
+        """Unit N/E path with each step (dx, dy) replaced by N^dy E^dx; injective on paths."""
+        moves = _gd_moves(self.k)
         out: list[str] = []
         for step in self.steps:
-            dx, dy = _step_displacement(step, self.k)
-            if dx == 0:
-                out.extend("N" * dy)
-            elif dy == 0:
-                out.extend("E" * dx)
-            else:
-                out.extend("N" * dy)
-                out.extend("E" * dx)
+            dx, dy = moves[step]
+            out.extend("N" * dy)
+            out.extend("E" * dx)
         return tuple(out)
 
     def to_json(self) -> list[str]:
@@ -247,16 +265,14 @@ def enumerate_gd(n: int, k: int, max_items: int | None = LIST_CAP) -> Iterator[G
     """All generalized (n,k) paths; step order Nk, Ek, D1..D(k-1) at each branch."""
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    moves = [(name, dx, dy) for name, (dx, dy) in _gd_moves(k).items()]
-    for steps in _lattice_walks(moves, (n, n), max_items, f"generalized ({n},{k}) paths"):
+    for steps in _lattice_walks(_gd_moves(k), (n, n), max_items, f"generalized ({n},{k}) paths"):
         yield GeneralizedDyckPath._from_walk(n, k, steps)
 
 
 @lru_cache(maxsize=64)
 def _gd_moves(k: int) -> dict[str, tuple[int, int]]:
     """Displacement of every step name, in enumerate_gd's order Nk, Ek, D1..D(k-1)."""
-    return {name: _step_displacement(name, k)
-            for name in [f"N{k}", f"E{k}"] + [f"D{i}" for i in range(1, k)]}
+    return {f"N{k}": (0, k), f"E{k}": (k, 0), **{f"D{i}": (i, i) for i in range(1, k)}}
 
 
 def diagonal_cell_labels(n: int, k: int) -> dict[tuple[int, int], int]:
@@ -357,11 +373,11 @@ def gd_size_totals(n: int, k: int) -> tuple[int, int]:
     to (x+dx, y+dy) adds the labels in columns x .. x+dx-1 below y+dy.
 
     The first-column hook set I of a core has size |I| = K and sum S, and
-    the core has size S - K(K-1)/2.  Each point carries the moments
-    (N, sum S, sum K, sum K^2) over the paths reaching it; a step adding c
-    labels of sum sigma maps them to
-    (N, S + N sigma, K + N c, K^2 + 2c K + N c^2).  Polynomial: O(n^2 k)
-    steps.  N is checked against multi_catalan(n, k).
+    the core has size |lambda| = S - K(K-1)/2.  Each point carries
+    (N, sum |lambda|, sum K) over the paths reaching it; a step adding c
+    labels of sum sigma adds N sigma - c sum K - N c(c-1)/2 to sum |lambda|
+    and N c to sum K.  Polynomial: O(n^2 k) steps.  N is checked against
+    multi_catalan(n, k).
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
@@ -372,12 +388,12 @@ def gd_size_totals(n: int, k: int) -> tuple[int, int]:
         below.append([(c, sums[c]) for c in cut])
     steps = list(_gd_moves(k).values())
     width = n + 1
-    moments = [(0, 0, 0, 0)] * (width * width)  # moments[y * width + x]
-    moments[0] = (1, 0, 0, 0)
+    moments = [(0, 0, 0)] * (width * width)  # moments[y * width + x]
+    moments[0] = (1, 0, 0)
     # every step raises y or keeps y and raises x, so row-major order is topological
     for y in range(n + 1):
         for x in range(y + 1):
-            cnt, s_sum, k_sum, k2_sum = moments[y * width + x]
+            cnt, size_sum, k_sum = moments[y * width + x]
             if not cnt:
                 continue
             for dx, dy in steps:
@@ -389,23 +405,19 @@ def gd_size_totals(n: int, k: int) -> tuple[int, int]:
                     dc, dsigma = below[col][ny]
                     c, sigma = c + dc, sigma + dsigma
                 at = ny * width + nx
-                old_n, old_s, old_k, old_k2 = moments[at]
+                old_n, old_size, old_k = moments[at]
                 moments[at] = (
                     old_n + cnt,
-                    old_s + s_sum + cnt * sigma,
+                    old_size + size_sum + cnt * sigma - c * k_sum - cnt * (c * (c - 1) // 2),
                     old_k + k_sum + cnt * c,
-                    old_k2 + k2_sum + 2 * c * k_sum + cnt * c * c,
                 )
-    count, s_sum, k_sum, k2_sum = moments[-1]
+    count, size_sum, _ = moments[-1]
     if count != multi_catalan(n, k):
         raise InvariantError(
             f"path DP counts {count} generalized ({n},{k}) paths, multi_catalan says "
             f"{multi_catalan(n, k)}"
         )
-    pairs, odd = divmod(k2_sum - k_sum, 2)
-    if odd:
-        raise InvariantError(f"path DP: sum of K^2 - K is odd ({k2_sum - k_sum}) for ({n},{k})")
-    return count, s_sum - pairs
+    return count, size_sum
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +427,10 @@ _CELL = 24
 _MARGIN = 12
 
 
-def _svg_panel(width: int, height: int, path_points: list[tuple[int, int]],
-               barrier: tuple[int, int], offset: tuple[int, int],
+def _svg_panel(target: tuple[int, int], path_points: Iterable[tuple[int, int]],
+               offset: tuple[int, int],
                cell_labels: dict[tuple[int, int], int] | None = None) -> list[str]:
+    width, height = target
     ox, oy = offset
 
     def pt(x: float, y: float) -> tuple[float, float]:
@@ -433,7 +446,7 @@ def _svg_panel(width: int, height: int, path_points: list[tuple[int, int]],
         x0, y0 = pt(0, j)
         x1, y1 = pt(width, j)
         out.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y1}" stroke="#ccc"/>')
-    bx, by = pt(*barrier)
+    bx, by = pt(width, height)
     x0, y0 = pt(0, 0)
     out.append(f'<line x1="{x0}" y1="{y0}" x2="{bx}" y2="{by}" stroke="#888" stroke-dasharray="4 3"/>')
     for (cx, cy), label in (cell_labels or {}).items():
@@ -444,18 +457,6 @@ def _svg_panel(width: int, height: int, path_points: list[tuple[int, int]],
     points = " ".join(f"{pt(x, y)[0]},{pt(x, y)[1]}" for x, y in path_points)
     out.append(f'<polyline points="{points}" fill="none" stroke="#c22" stroke-width="2.5"/>')
     return out
-
-
-def _walk_unit(steps: Iterable[str]) -> list[tuple[int, int]]:
-    x = y = 0
-    pts = [(0, 0)]
-    for step in steps:
-        if step == "N":
-            y += 1
-        else:
-            x += 1
-        pts.append((x, y))
-    return pts
 
 
 def svg_paths(paths: Sequence[RectPath] | Sequence[GeneralizedDyckPath], columns: int = 5,
@@ -469,17 +470,10 @@ def svg_paths(paths: Sequence[RectPath] | Sequence[GeneralizedDyckPath], columns
     if not paths:
         raise ValueError("no paths to render")
     first = paths[0]
+    width, height = first.target
     cell_labels = None
-    if isinstance(first, RectPath):
-        width, height = first.t, first.s
-        barrier = (first.t, first.s)
-        point_lists = [_walk_unit(p.steps) for p in paths]
-    else:
-        width = height = first.n
-        barrier = (first.n, first.n)
-        point_lists = [list(p.points()) for p in paths]
-        if labels:
-            cell_labels = diagonal_cell_labels(first.n, first.k)
+    if labels and isinstance(first, GeneralizedDyckPath):
+        cell_labels = diagonal_cell_labels(first.n, first.k)
     cols = min(columns, len(paths))
     rows = (len(paths) + cols - 1) // cols
     panel_w = width * _CELL + _MARGIN
@@ -487,10 +481,10 @@ def svg_paths(paths: Sequence[RectPath] | Sequence[GeneralizedDyckPath], columns
     total_w = cols * panel_w + _MARGIN
     total_h = rows * panel_h + _MARGIN
     body = []
-    for idx, pts in enumerate(point_lists):
+    for idx, p in enumerate(paths):
         r, c = divmod(idx, cols)
         offset = (_MARGIN + c * panel_w, _MARGIN + r * panel_h)
-        body.extend(_svg_panel(width, height, pts, barrier, offset, cell_labels))
+        body.extend(_svg_panel(first.target, p.points(), offset, cell_labels))
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{total_w}" height="{total_h}">\n'
         + "\n".join(body)

@@ -170,39 +170,35 @@ class GapPoset:
     def core_size_totals(self, max_states: int | None = COUNT_CAP) -> tuple[int, int]:
         """(number, total size) of the simultaneous cores, with no ideal built.
 
-        The window DP of count_lower_ideals, carrying per key the moments
-        (N, sum S, sum K, sum K^2) of the ideals' sums S and sizes K.  Adding
-        gap g to every ideal of a key maps them to (N, S + N g, K + N,
-        K^2 + 2K + N), and the core of an ideal has size S - K(K-1)/2
-        (ideal_to_core reads the ideal as first-column hooks).  Exponential
-        in max(generators) like the count, but valid for any generators.
+        The window DP of count_lower_ideals, carrying per key
+        (N, sum |lambda|, sum K) over its ideals: an ideal of K gaps with sum
+        S is the first-column hook set of a core of size
+        |lambda| = S - K(K-1)/2 (ideal_to_core).  Adding gap g to every ideal
+        of a key adds N g - sum K to sum |lambda| and N to sum K.
+        Exponential in max(generators) like the count, but valid for any
+        generators.
         """
-        states: dict[int, tuple[int, int, int, int]] = {0: (1, 0, 0, 0)}
+        states: dict[int, tuple[int, int, int]] = {0: (1, 0, 0)}
         for g, shift, in_range, need in self._window_steps():
-            nxt: dict[int, tuple[int, int, int, int]] = {}
+            nxt: dict[int, tuple[int, int, int]] = {}
             for key, here in states.items():
                 key = (key << shift) & in_range
                 old = nxt.get(key)
                 if old is not None:
-                    n0, s0, k0, q0 = old
-                    n1, s1, k1, q1 = here
-                    here = (n0 + n1, s0 + s1, k0 + k1, q0 + q1)
+                    n0, size0, k0 = old
+                    n1, size1, k1 = here
+                    here = (n0 + n1, size0 + size1, k0 + k1)
                 nxt[key] = here
             # shifted keys have bit 0 clear, so the keys with g included are new
             included = {
-                key | 1: (cnt, s_sum + cnt * g, k_sum + cnt, k2_sum + 2 * k_sum + cnt)
-                for key, (cnt, s_sum, k_sum, k2_sum) in nxt.items() if key & need == need
+                key | 1: (cnt, size_sum + cnt * g - k_sum, k_sum + cnt)
+                for key, (cnt, size_sum, k_sum) in nxt.items() if key & need == need
             }
             nxt.update(included)
             states = nxt
             self._check_state_count(states, max_states)
-        count, s_sum, k_sum, k2_sum = map(sum, zip(*states.values()))
-        pairs, odd = divmod(k2_sum - k_sum, 2)
-        if odd:
-            raise InvariantError(
-                f"window DP: sum of K^2 - K is odd ({k2_sum - k_sum}) for P_{list(self.generators)}"
-            )
-        return count, s_sum - pairs
+        count, size_sum, _ = map(sum, zip(*states.values()))
+        return count, size_sum
 
     def to_dot(self, transitive_reduce: bool = False) -> str:
         """Hasse-style DOT digraph; edges point from each gap up to its covers."""

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from functools import lru_cache
 
@@ -92,6 +93,25 @@ def test_rect_path_validation():
         RectPath(3, 5, "NNNEEEEX")
 
 
+def test_enumerated_rect_paths_pass_the_constructor():
+    # the walk builds rectangle paths unchecked; each must pass the constructor's checks
+    for s, t in [(3, 5), (5, 7), (4, 9), (9, 11)]:
+        paths = list(enumerate_rect_paths(s, t))
+        assert len(paths) == count_rect_paths(s, t), (s, t)
+        assert all(RectPath(s, t, p.steps) == p for p in paths), (s, t)
+    for path in enumerate_rect_paths(5, 7):
+        # oracle: the height of a unit N/E walk over each column
+        heights, y = [], 0
+        for step in path.steps:
+            if step == "N":
+                y += 1
+            else:
+                heights.append(y)
+        assert path.heights() == tuple(heights)
+        assert path.coarea() == sum(5 - h for h in heights)
+        assert path.partition_above() == Partition(5 - h for h in heights if h < 5)
+
+
 def test_coarea_extremes():
     boundary = RectPath(7, 5, "N" * 7 + "E" * 5)
     assert boundary.coarea() == 0
@@ -151,6 +171,13 @@ def test_gd_validation():
         GeneralizedDyckPath(4, 3, ["N2", "D1", "E3"])  # N2 is not a step for k=3
     with pytest.raises(ValueError):
         GeneralizedDyckPath(4, 3, ["D3", "N3", "E3"])  # diagonal jump too long
+
+
+def test_gd_rejects_non_canonical_step_names():
+    # zero-padded amounts (N02, D01) and an Arabic-Indic digit 2 are not step names
+    for steps in (["N02", "E2"], ["N2", "E\u0662"], ["D01", "D1"]):
+        with pytest.raises(ValueError, match="is not valid for k=2"):
+            GeneralizedDyckPath(2, 2, steps)
 
 
 def test_inflate_examples():
@@ -286,6 +313,18 @@ def test_svg_output():
     assert labeled.count("<text") == 8 * len(diagonal_cell_labels(4, 3))
     with pytest.raises(ValueError):
         svg_paths([])
+
+
+def test_svg_panel_points():
+    def polylines(svg):
+        return re.findall(r'<polyline points="([^"]*)"', svg)
+
+    rect = [RectPath(3, 5, "NNNEEEEE")]
+    assert polylines(svg_paths(rect)) == ["12,84 12,60 12,36 12,12 36,12 60,12 84,12 108,12 132,12"]
+    gd = [GeneralizedDyckPath(4, 2, ["D1", "N2", "E2", "D1"])]
+    assert polylines(svg_paths(gd)) == ["12,108 36,84 36,36 84,36 108,12"]
+    # labels belong to generalized paths only
+    assert "<text" not in svg_paths(list(enumerate_rect_paths(3, 5)), labels=True)
 
 
 def test_json_step_names():
