@@ -7,10 +7,38 @@ on orientation, so only the diagram rendering offers an english flag.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Iterable, Iterator
 
-from .errors import EnumerationCapError, NotACoreError
+from .errors import EnumerationCapError, InvariantError, NotACoreError
+
+
+class CoreModuli(tuple):
+    """A generator set as distinct moduli >= 1 in increasing order.
+
+    Normalising is idempotent, so a caller testing many partitions against
+    one set builds this once and passes it to is_multicore each time;
+    GapPoset.generators is one.
+    """
+
+    def __new__(cls, generators: Iterable[int]) -> "CoreModuli":
+        if isinstance(generators, CoreModuli):
+            return generators
+        gens = sorted(set(map(int, generators)))
+        if not gens:
+            raise ValueError("generator set must be non-empty")
+        if gens[0] < 1:
+            raise ValueError(f"generators must be >= 1, got {gens[0]}")
+        return super().__new__(cls, gens)
+
+    def multiples_below(self, top: int) -> int:
+        """Bitmask with bit m set for each multiple 0 < m < top of a modulus."""
+        mask = 0
+        for g in self:
+            q = (top - 1) // g
+            # bits g, 2g, ..., qg: (2^(gq) - 1) / (2^g - 1) has bits 0, g, ..., (q-1)g
+            mask |= ((1 << g * q) - 1) // ((1 << g) - 1) << g
+        return mask
 
 
 class Partition:
@@ -69,14 +97,14 @@ class Partition:
 
     def column_lengths(self) -> tuple[int, ...]:
         """Length of each column, i.e. the conjugate partition's parts."""
-        if not self.parts:
-            return ()
-        cols = []
-        k = len(self.parts)
-        for j in range(1, self.parts[0] + 1):
-            while self.parts[k - 1] < j:
-                k -= 1
-            cols.append(k)
+        cols: list[int] = []
+        prev = 0
+        # walking up from the shortest row, the first k rows are the ones
+        # reaching columns prev+1 .. parts[k-1]
+        for k in range(len(self.parts), 0, -1):
+            part = self.parts[k - 1]
+            cols += [k] * (part - prev)
+            prev = part
         return tuple(cols)
 
     def hook_length(self, row: int, col: int) -> int:
@@ -102,7 +130,7 @@ class Partition:
         """True iff no hook length in the diagram is divisible by s."""
         if s < 1:
             raise ValueError(f"core modulus must be >= 1, got {s}")
-        return all(h % s for h in self.hooks())
+        return self._first_divisible_hook((s,)) is None
 
     def is_multicore(self, generators: Iterable[int]) -> bool:
         """Simultaneous core: an s-core for every s in the generator set."""
@@ -116,15 +144,38 @@ class Partition:
 
     def _first_divisible_hook(self, generators: Iterable[int]) -> tuple[int, int] | None:
         """First (hook, generator) in row-major, increasing-generator order
-        with the generator dividing the hook; None for a simultaneous core."""
-        gens = sorted(set(int(g) for g in generators))
-        if not gens:
-            raise ValueError("generator set must be non-empty")
+        with the generator dividing the hook; None for a simultaneous core.
+
+        Cell (i, j), 0-indexed, has hook (parts[i] - i - 1) + (cols[j] - j).
+        With rows[c] holding bit parts[i] - i - 1 + k for every row i < c,
+        column j's hooks are rows[cols[j]] shifted by cols[j] - j - k, so
+        all hooks are tested against the moduli's multiples in
+        O(rows + columns) integer operations.  Only a partition that fails
+        is scanned cell by cell, to name its first offending hook.
+        """
+        gens = CoreModuli(generators)
+        parts = self.parts
+        if not parts:
+            return None
+        k = len(parts)
+        rows = [0]
+        for i, part in enumerate(parts):
+            rows.append(rows[-1] | 1 << (part - i - 1 + k))
+        hooks = 0
+        for j, c in enumerate(self.column_lengths()):
+            shift = c - j - k
+            # a right shift drops no hook: every hook is >= 1
+            hooks |= rows[c] << shift if shift >= 0 else rows[c] >> -shift
+        if not hooks & gens.multiples_below(parts[0] + k):
+            return None
         for h in self.hooks():
             for g in gens:
                 if h % g == 0:
                     return h, g
-        return None
+        raise InvariantError(
+            f"the hook bitmask of {list(parts)} has a multiple of {list(gens)} "
+            "that the cell scan does not find"
+        )
 
     def first_column_hooks(self) -> frozenset[int]:
         """The set {parts[i] + k - 1 - i}: hook lengths of the first column."""
@@ -201,10 +252,8 @@ def render_ferrers(p: Partition, hooks: bool = False, orientation: str = "french
     if not p.parts:
         return "(empty partition)"
     if hooks:
-        grid = [
-            [p.hook_length(i, j) for j in range(1, part + 1)]
-            for i, part in enumerate(p.parts, start=1)
-        ]
+        stream = p.hooks()
+        grid = [list(islice(stream, part)) for part in p.parts]
         width = max(len(str(h)) for row in grid for h in row)
         lines = [" ".join(str(h).rjust(width) for h in row) for row in grid]
     else:

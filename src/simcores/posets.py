@@ -17,7 +17,7 @@ from operator import mul
 from typing import Iterable, Iterator
 
 from .errors import EnumerationCapError, InfinitePosetError, InvariantError
-from .partitions import Partition, partition_from_hooks
+from .partitions import CoreModuli, Partition, partition_from_hooks
 
 # listings stop with EnumerationCapError past LIST_CAP items, the counting
 # DP past COUNT_CAP states
@@ -31,15 +31,11 @@ class GapPoset:
     __slots__ = ("generators", "gaps", "covers", "_gapset", "_representable", "_lower")
 
     def __init__(self, generators: Iterable[int]):
-        gens = sorted(set(int(g) for g in generators))
-        if not gens:
-            raise ValueError("generator set must be non-empty")
-        if gens[0] < 1:
-            raise ValueError(f"generators must be >= 1, got {gens[0]}")
+        gens = CoreModuli(generators)
         g = math.gcd(*gens)
         if g > 1:
             raise InfinitePosetError(gens, g)
-        self.generators = tuple(gens)
+        self.generators = gens
         self._representable = _sieve(gens)
         self.gaps = tuple(
             m for m in range(1, len(self._representable)) if not self._representable[m]
@@ -235,7 +231,7 @@ class GapPoset:
         return f"GapPoset(generators={list(self.generators)}, gaps={len(self.gaps)})"
 
 
-def _sieve(gens: list[int]) -> list[bool]:
+def _sieve(gens: CoreModuli) -> list[bool]:
     """Representability table, extended until min(gens) consecutive hits.
 
     Once min(gens) consecutive integers are representable, every larger
@@ -256,11 +252,11 @@ def _sieve(gens: list[int]) -> list[bool]:
 
 def build_gap_poset(generators: Iterable[int]) -> GapPoset:
     """GapPoset for a generator set; requires gcd 1 (finite gap set)."""
-    return _cached_poset(tuple(sorted(set(int(g) for g in generators))))
+    return _cached_poset(CoreModuli(generators))
 
 
 @lru_cache(maxsize=512)
-def _cached_poset(generators: tuple[int, ...]) -> GapPoset:
+def _cached_poset(generators: CoreModuli) -> GapPoset:
     return GapPoset(generators)
 
 

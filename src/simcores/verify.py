@@ -12,7 +12,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Callable, Iterable
+from typing import Callable, Container, Iterable
 
 from .errors import InvariantError, NonCoprimeError
 from .exact import binomial, catalan_number, det_exact, det_qpoly, hessenberg_catalan_det
@@ -24,7 +24,7 @@ from .paths import (
     gd_size_totals,
     gd_to_ideal,
 )
-from .posets import build_gap_poset, consecutive_poset, ideal_to_core, multi_catalan
+from .posets import GapPoset, build_gap_poset, consecutive_poset, ideal_to_core, multi_catalan
 from .qpoly import QPolynomial, q_binomial
 from .series import integer_sqrt_coefficients
 
@@ -329,19 +329,27 @@ def _coprime_pairs(max_sum: int) -> list[tuple[int, int]]:
     ]
 
 
-def _check_pair(s: int, t: int) -> tuple[bool, str]:
-    poset = build_gap_poset((s, t))
-    n_ideals = 0
+def _ideals_and_cores(poset: GapPoset, images: Container[frozenset[int]] = frozenset(),
+                      ) -> tuple[int, int, bool, bool]:
+    """Number of lower ideals, how many of them are in `images`, whether
+    their cores are pairwise distinct, and whether each core passes the hook
+    test for the poset's generators.  The ideals are counted, not kept."""
+    n_ideals = n_in_images = 0
     core_parts = set()
     all_cores = True
     for ideal in poset.iter_lower_ideals():
-        core = ideal_to_core(poset, ideal)
         n_ideals += 1
+        n_in_images += ideal in images
+        core = ideal_to_core(poset, ideal)
         core_parts.add(core.parts)
-        all_cores = all_cores and core.is_multicore((s, t))
+        all_cores = all_cores and core.is_multicore(poset.generators)
+    return n_ideals, n_in_images, len(core_parts) == n_ideals, all_cores
+
+
+def _check_pair(s: int, t: int) -> tuple[bool, str]:
+    n_ideals, _, distinct, all_cores = _ideals_and_cores(build_gap_poset((s, t)))
     n_paths = sum(1 for _ in enumerate_rect_paths(s, t))
     formula = count_rect_paths(s, t)
-    distinct = len(core_parts) == n_ideals
     ok = n_ideals == n_paths == formula and distinct and all_cores
     detail = f"ideals={n_ideals} paths={n_paths} formula={formula} cores ok={distinct and all_cores}"
     return ok, detail if not ok else ""
@@ -349,29 +357,23 @@ def _check_pair(s: int, t: int) -> tuple[bool, str]:
 
 def _check_consecutive(n: int, k: int) -> tuple[bool, str]:
     poset = consecutive_poset(n, k)
-    ideals = set()
-    core_parts = set()
-    all_cores = True
-    for ideal in poset.iter_lower_ideals():
-        ideals.add(ideal)
-        core = ideal_to_core(poset, ideal)
-        core_parts.add(core.parts)
-        all_cores = all_cores and core.is_multicore(poset.generators)
     n_paths = 0
     images = set()
     for path in enumerate_gd(n, k):
         n_paths += 1
         images.add(gd_to_ideal(path, poset))
-    distinct = len(core_parts) == len(ideals)
+    n_ideals, n_in_images, distinct, all_cores = _ideals_and_cores(poset, images)
+    # a repeated ideal fails `distinct`; without one, this is images == ideals
+    bijection = n_in_images == n_ideals == len(images)
     ok = (
-        n_paths == len(ideals) == multi_catalan(n, k)
-        and images == ideals
+        n_paths == n_ideals == multi_catalan(n, k)
+        and bijection
         and distinct
         and all_cores
     )
     detail = (
-        f"paths={n_paths} ideals={len(ideals)} multi_catalan={multi_catalan(n, k)} "
-        f"bijection={'yes' if images == ideals else 'NO'}"
+        f"paths={n_paths} ideals={n_ideals} multi_catalan={multi_catalan(n, k)} "
+        f"bijection={'yes' if bijection else 'NO'}"
     )
     return ok, detail if not ok else ""
 

@@ -1,7 +1,10 @@
+from itertools import combinations
+
 import pytest
 
 from simcores.errors import EnumerationCapError, NotACoreError
 from simcores.partitions import (
+    CoreModuli,
     Partition,
     count_subpartitions,
     partition_from_hooks,
@@ -102,6 +105,98 @@ def test_check_multicore_reports_offender():
         Partition((2, 1)).check_multicore({3, 5})
     assert err.value.hook == 3
     assert err.value.divisor == 3
+
+
+def direct_hook_grid(p):
+    # oracle: arm + leg + 1, counting cells east and north one by one
+    return [
+        [(row - j) + sum(1 for other in p.parts[i:] if other >= j) + 1 for j in range(1, row + 1)]
+        for i, row in enumerate(p.parts, start=1)
+    ]
+
+
+def first_divisible_by_scan(grid, gens):
+    # oracle: row-major cells, increasing generators, plain % per pair
+    for row in grid:
+        for h in row:
+            for g in sorted(gens):
+                if h % g == 0:
+                    return h, g
+    return None
+
+
+def test_column_lengths_match_the_direct_definition():
+    for n in range(21):
+        for parts in all_partitions_of(n):
+            expected = tuple(
+                sum(1 for part in parts if part >= j) for j in range(1, (parts[0] if parts else 0) + 1)
+            )
+            assert Partition(parts).column_lengths() == expected, parts
+
+
+def test_hook_bitmask_agrees_with_a_cell_scan():
+    gen_sets = [gens for size in (1, 2, 3) for gens in combinations(range(1, 10), size)]
+    for n in range(15):
+        for parts in all_partitions_of(n):
+            p = Partition(parts)
+            grid = direct_hook_grid(p)
+            for gens in gen_sets:
+                found = first_divisible_by_scan(grid, gens)
+                assert p.is_multicore(gens) == (found is None), (parts, gens)
+                if found is None:
+                    p.check_multicore(gens)
+                else:
+                    with pytest.raises(NotACoreError) as err:
+                        p.check_multicore(gens)
+                    assert (err.value.hook, err.value.divisor) == found, (parts, gens)
+                if len(gens) == 1:
+                    assert p.is_core(gens[0]) == (found is None), (parts, gens)
+
+
+def test_hook_bitmask_edge_cases():
+    assert Partition().is_multicore({1})
+    Partition().check_multicore({1, 2})
+    for p in (Partition([40]), Partition([1] * 40)):
+        # hooks 40, 39, ..., 1 in row-major order
+        assert p.is_multicore({41, 50}) and p.is_core(41)
+        assert not p.is_core(40) and not p.is_multicore({40, 41})
+        with pytest.raises(NotACoreError) as err:
+            p.check_multicore({3, 37})
+        assert (err.value.hook, err.value.divisor) == (39, 3)
+    # generator 1 divides the first hook of any non-empty partition
+    for parts in ((1,), (6, 3, 1, 1), (2, 2)):
+        p = Partition(parts)
+        with pytest.raises(NotACoreError) as err:
+            p.check_multicore({1, 5})
+        assert (err.value.hook, err.value.divisor) == (p.hook_length(1, 1), 1)
+    # generators above every hook (the largest is 9)
+    assert Partition((6, 3, 1, 1)).is_multicore({10, 11, 12})
+    # the only even hook is the 2 in the fifth cell of the longest row; its
+    # column sits 7 bits below the row bitmask, so only the right shift finds it
+    staircase_plus = Partition((6, 3, 2, 1))
+    assert [h for h in staircase_plus.hooks() if h % 2 == 0] == [2]
+    assert staircase_plus.hook_length(1, 5) == 2
+    assert not staircase_plus.is_core(2)
+    with pytest.raises(NotACoreError) as err:
+        staircase_plus.check_multicore({2, 10})
+    assert (err.value.hook, err.value.divisor) == (2, 2)
+    assert str(err.value) == (
+        "partition [6, 3, 2, 1] has hook length 2 divisible by 2, so it is not a 2-core"
+    )
+
+
+def test_core_moduli_normalise_once():
+    gens = CoreModuli([7, 3, 3, 5])
+    assert gens == (3, 5, 7)
+    assert CoreModuli(gens) is gens
+    assert gens.multiples_below(11) == sum(1 << m for m in (3, 5, 6, 7, 9, 10))
+    assert CoreModuli([4]).multiples_below(4) == 0
+    for bad, message in [([], "generator set must be non-empty"),
+                         ([0, 3], "generators must be >= 1, got 0"),
+                         ([-2, 5], "generators must be >= 1, got -2")]:
+        with pytest.raises(ValueError) as err:
+            Partition((2, 1)).is_multicore(bad)
+        assert str(err.value) == message
 
 
 def test_first_column_hooks():
@@ -212,3 +307,17 @@ def test_render_ferrers():
     assert render_ferrers(Partition()) == "(empty partition)"
     with pytest.raises(ValueError):
         render_ferrers(p, orientation="sideways")
+
+
+def test_render_ferrers_hooks_match_per_cell_hook_lengths():
+    for n in range(1, 13):
+        for parts in all_partitions_of(n):
+            p = Partition(parts)
+            grid = [
+                [p.hook_length(i, j) for j in range(1, part + 1)]
+                for i, part in enumerate(parts, start=1)
+            ]
+            width = max(len(str(h)) for row in grid for h in row)
+            lines = [" ".join(str(h).rjust(width) for h in row).rstrip() for row in grid]
+            assert render_ferrers(p, hooks=True, orientation="english") == "\n".join(lines)
+            assert render_ferrers(p, hooks=True) == "\n".join(reversed(lines))

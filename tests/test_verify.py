@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from simcores import verify
 from simcores.exact import binomial, catalan_number
 from simcores.errors import NonCoprimeError
 from simcores.partitions import Partition, partitions_in_box
@@ -10,6 +11,9 @@ from simcores.paths import diagonal_partition
 from simcores.posets import build_gap_poset, multi_catalan
 from simcores.qpoly import QPolynomial
 from simcores.verify import (
+    _check_consecutive,
+    _check_pair,
+    _ideals_and_cores,
     catalan_identity,
     check_conjecture_range,
     check_gf_range,
@@ -163,6 +167,25 @@ def test_equinumerosity_suite_small():
         if math.gcd(s, t) == 1
     )
     assert report.total == n_pairs + 5 * 2
+
+
+def test_ideals_and_cores_counts_without_keeping_the_ideals():
+    poset = build_gap_poset((3, 5))
+    ideals = list(poset.iter_lower_ideals())
+    assert len(ideals) == 7
+    assert _ideals_and_cores(poset) == (7, 0, True, True)
+    assert _ideals_and_cores(poset, set(ideals[1:])) == (7, 6, True, True)
+
+
+def test_equinumerosity_failure_details(monkeypatch):
+    assert _check_pair(3, 5) == (True, "")
+    assert _check_consecutive(4, 2) == (True, "")
+    monkeypatch.setattr(verify, "count_rect_paths", lambda s, t: 8)
+    assert _check_pair(3, 5) == (False, "ideals=7 paths=7 formula=8 cores ok=True")
+    monkeypatch.setattr(verify, "gd_to_ideal", lambda path, poset: frozenset())
+    assert _check_consecutive(4, 2) == (
+        False, "paths=9 ideals=9 multi_catalan=9 bijection=NO"
+    )
 
 
 def test_check_report_shape():
