@@ -8,6 +8,7 @@ on orientation, so only the diagram rendering offers an english flag.
 from __future__ import annotations
 
 from itertools import accumulate, islice
+from operator import index, sub
 from typing import Iterable, Iterator
 
 from .errors import EnumerationCapError, InvariantError, NotACoreError
@@ -24,7 +25,7 @@ class CoreModuli(tuple):
     def __new__(cls, generators: Iterable[int]) -> "CoreModuli":
         if isinstance(generators, CoreModuli):
             return generators
-        gens = sorted(set(map(int, generators)))
+        gens = sorted(set(map(index, generators)))
         if not gens:
             raise ValueError("generator set must be non-empty")
         if gens[0] < 1:
@@ -47,7 +48,7 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        p = list(map(int, parts))
+        p = list(map(index, parts))
         while p and p[-1] == 0:
             p.pop()
         if p and not (p[-1] > 0 and p == sorted(p, reverse=True)):
@@ -189,14 +190,15 @@ class Partition:
 def partition_from_hooks(hooks: Iterable[int]) -> Partition:
     """The unique partition whose first-column hook set equals `hooks`.
 
-    Sorting the hooks increasingly as h_1 < ... < h_k, the parts are
-    h_(k+1-i) - (k-i); this inverts first_column_hooks.
+    Sorting the k hooks decreasingly as h_1 > ... > h_k, part i is
+    h_i - (k - i); this inverts first_column_hooks.
     """
-    hs = sorted(set(map(int, hooks)))
-    if hs and hs[0] < 1:
-        raise ValueError(f"hook values must be positive, got {hs[0]}")
-    # distinct positive hooks give positive, weakly decreasing parts
-    return Partition._from_parts(tuple([h - j for j, h in enumerate(hs)][::-1]))
+    hs = sorted(set(map(index, hooks)), reverse=True)
+    if hs and hs[-1] < 1:
+        raise ValueError(f"hook values must be positive, got {hs[-1]}")
+    # distinct positive hooks give positive, weakly decreasing parts; a tuple
+    # built straight from the map iterator would be over-allocated
+    return Partition._from_parts(tuple(list(map(sub, hs, range(len(hs) - 1, -1, -1)))))
 
 
 def subpartitions(p: Partition, max_items: int | None = None) -> Iterator[Partition]:

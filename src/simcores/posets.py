@@ -85,18 +85,28 @@ class GapPoset:
         Deterministic order: gaps are decided in increasing value, exclusion
         branch first, so the empty ideal comes first and the full gap set last.
 
-        The depth-first search runs as one loop with no recursion.  Bit i of
-        `mask` records whether gaps[i] is in the current ideal, and `chosen`
-        holds those gaps in increasing order.  Excluding a gap never blocks
-        the all-excluded completion, so every branch ends in an ideal and the
-        next ideal is found by undoing the deepest decisions: clear included
-        gaps from the top down until an excluded gap whose lower covers are
-        all in the mask turns up, include it, and exclude everything above.
+        Bit i of `mask` records whether gaps[i] is in the current ideal, and
+        `chosen` holds those gaps in increasing order.  Lower covers have
+        smaller indices, so the successor of an ideal includes
+        i* = max{i not in mask : the lower covers of gaps[i] are in mask},
+        drops the gaps above i* and keeps those below.  `addable` holds that
+        set of indices as a bitmask, so i* is its top bit.  Dropping or adding
+        a gap changes `addable` only at that gap and its at most #generators
+        upper covers; each step adds one gap and a gap is dropped only after
+        it was added, so an ideal costs amortized O(#generators) steps (plus
+        building its frozenset).
         """
         gaps = self.gaps
         index = {g: i for i, g in enumerate(gaps)}
         need = [sum(1 << index[c] for c in self._lower[g]) for g in gaps]
+        ups: list[list[int]] = [[] for _ in gaps]
+        for i, g in enumerate(gaps):
+            for c in self._lower[g]:
+                ups[index[c]].append(i)
+        # complement of the upper covers of each gap, as a bitmask
+        not_above = [~sum(1 << u for u in us) for us in ups]
         mask = 0
+        addable = sum(1 << i for i, n in enumerate(need) if not n)
         chosen: list[int] = []
         count = 0
         while True:
@@ -106,19 +116,22 @@ class GapPoset:
                     f"lower ideals of P_{list(self.generators)}", max_items
                 )
             yield frozenset(chosen)
-            i = len(gaps) - 1
-            while i >= 0:
-                bit = 1 << i
-                if mask & bit:
-                    mask ^= bit
-                    chosen.pop()
-                elif need[i] & mask == need[i]:
-                    break
-                i -= 1
-            if i < 0:
-                return
+            if not addable:
+                return  # only the full gap set has no addable gap
+            i = addable.bit_length() - 1
+            # drop the gaps above i from the top, so the mask stays an ideal;
+            # a dropped gap is addable again and its upper covers are not
+            while mask >> i:
+                top = mask.bit_length() - 1
+                mask ^= 1 << top
+                chosen.pop()
+                addable = (addable | 1 << top) & not_above[top]
             mask |= 1 << i
+            addable ^= 1 << i
             chosen.append(gaps[i])
+            for u in ups[i]:
+                if need[u] & mask == need[u]:
+                    addable |= 1 << u
 
     def _window_steps(self) -> Iterator[tuple[int, int, int, int]]:
         """The per-gap rule of the window DPs over the gaps in increasing value.

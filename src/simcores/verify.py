@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from operator import mul
 from typing import Callable, Container, Iterable
 
@@ -29,16 +28,19 @@ from .qpoly import QPolynomial, q_binomial
 from .series import integer_sqrt_coefficients
 
 
-@dataclass
 class CheckReport:
     """Outcome of one verification run over an explicit parameter range."""
 
-    statement: str
-    tested: str
-    total: int = 0
-    failures: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    duration: float = 0.0
+    # a plain class: dataclasses would import inspect, ast and dis on every start
+    def __init__(self, statement: str, tested: str, total: int = 0,
+                 failures: list[str] | None = None, notes: list[str] | None = None,
+                 duration: float = 0.0):
+        self.statement = statement
+        self.tested = tested
+        self.total = total
+        self.failures = [] if failures is None else failures
+        self.notes = [] if notes is None else notes
+        self.duration = duration
 
     @property
     def passed(self) -> bool:
@@ -307,12 +309,13 @@ def total_core_size_via_paths(s: int) -> int:
     """
     poset = consecutive_poset(s, 2)
     total = 0
-    seen = set()
+    seen = set()  # one int bitmask per ideal: far smaller than the frozensets
     for path in enumerate_gd(s, 2):
         ideal = gd_to_ideal(path, poset)
-        if ideal in seen:
+        key = sum(1 << g for g in ideal)
+        if key in seen:
             raise InvariantError(f"two paths map to the ideal {sorted(ideal)}")
-        seen.add(ideal)
+        seen.add(key)
         total += ideal_to_core(poset, ideal).size
     return total
 

@@ -484,3 +484,13 @@ def test_invariants_stay_checked_under_optimize():
     assert lines[-1] == "2 2"
     assert done.stderr == (
         "simcores: internal invariant failed: cycle-lemma division must be exact for coprime sides\n")
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    src = str(Path(simcores.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, simcores.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

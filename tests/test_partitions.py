@@ -199,6 +199,22 @@ def test_core_moduli_normalise_once():
         assert str(err.value) == message
 
 
+
+def test_partition_rejects_non_integral_parts():
+    with pytest.raises(TypeError):
+        Partition([2.5, 1.9])
+
+
+def test_multicore_rejects_non_integral_generators():
+    with pytest.raises(TypeError):
+        Partition((2, 1)).is_multicore([3.9])
+
+
+def test_partition_from_hooks_rejects_non_integral_hooks():
+    with pytest.raises(TypeError):
+        partition_from_hooks([2.5])
+
+
 def test_first_column_hooks():
     assert Partition((6, 3, 1, 1)).first_column_hooks() == {1, 2, 5, 9}
     assert Partition().first_column_hooks() == frozenset()

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -51,6 +52,11 @@ def test_infinite_poset_rejected():
     assert err.value.gcd == 2
     with pytest.raises(ValueError):
         build_gap_poset(())
+
+
+def test_non_integral_generators_rejected():
+    with pytest.raises(TypeError):
+        build_gap_poset([3.5, 5.2])  # never truncated to (3, 5)
 
 
 def test_frobenius_matches_formula_for_pairs():
@@ -140,6 +146,66 @@ def test_ideal_enumeration_matches_recursive_reference():
     for gens in [(5, 7), (4, 6, 9), (12, 13, 14), (2, 3), (1,), (3, 4, 5)]:
         poset = build_gap_poset(gens)
         assert list(poset.iter_lower_ideals()) == recursive_lower_ideals(poset), gens
+
+
+def top_down_scan_lower_ideals(poset):
+    # reference: the scan the successor rule replaced; after each ideal, clear
+    # included gaps from the top until an excluded gap whose lower covers are
+    # all included, then include that gap
+    gaps = poset.gaps
+    index = {g: i for i, g in enumerate(gaps)}
+    need = [sum(1 << index[c] for c in poset.lower_covers(g)) for g in gaps]
+    mask = 0
+    out = []
+    while True:
+        out.append(frozenset(g for i, g in enumerate(gaps) if mask >> i & 1))
+        i = len(gaps) - 1
+        while i >= 0:
+            if mask >> i & 1:
+                mask ^= 1 << i
+            elif need[i] & mask == need[i]:
+                break
+            i -= 1
+        if i < 0:
+            return out
+        mask |= 1 << i
+
+
+def test_successor_matches_the_top_down_scan():
+    # a single generator from 2..10 has gcd > 1, so sizes 2 and 3 cover size <= 3
+    gen_sets = [
+        gens
+        for size in (2, 3)
+        for gens in itertools.combinations(range(2, 11), size)
+        if math.gcd(*gens) == 1
+    ]
+    gen_sets += [(4, 5, 6, 7), (5, 7, 9, 11), (6, 7, 8, 9), (3, 7, 8, 10), (7, 8, 11, 13)]
+    for gens in gen_sets:
+        poset = build_gap_poset(gens)
+        assert list(poset.iter_lower_ideals()) == top_down_scan_lower_ideals(poset), gens
+
+
+def test_successor_cap_is_raised_at_the_item_past_the_cap():
+    poset = build_gap_poset((4, 7))
+    total = poset.count_lower_ideals()
+    for cap in (1, 2, total - 1):
+        it = poset.iter_lower_ideals(max_items=cap)
+        assert list(itertools.islice(it, cap)) == top_down_scan_lower_ideals(poset)[:cap]
+        with pytest.raises(EnumerationCapError) as err:
+            next(it)
+        assert str(err.value) == (
+            f"lower ideals of P_[4, 7] exceeds the cap of {cap}; raise the cap to proceed")
+    assert len(list(poset.iter_lower_ideals(max_items=total))) == total
+
+
+def test_successor_with_generator_one_yields_only_the_empty_ideal():
+    for gens in [(1,), (1, 5), (1, 4, 9)]:
+        assert list(build_gap_poset(gens).iter_lower_ideals()) == [frozenset()]
+
+
+def test_successor_counts_the_consecutive_run_14_15_16():
+    poset = consecutive_poset(14, 2)
+    assert sum(1 for _ in poset.iter_lower_ideals()) == multi_catalan(14, 2)
 
 
 def test_enumeration_cap():
