@@ -13,10 +13,10 @@ and k = 2 encodes Motzkin paths.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from functools import lru_cache
-from itertools import accumulate, chain
-from typing import Iterable, Iterator, Sequence
+from itertools import chain
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import EnumerationCapError, InvariantError, NonCoprimeError
 from .exact import binomial
@@ -33,84 +33,86 @@ def _require_coprime(s: int, t: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# walks: a path is a sequence of step names, and `move` maps a name to its
-# displacement (dx, dy), raising ValueError for a name the family lacks
-
-_RECT_MOVES = {"N": (0, 1), "E": (1, 0)}
+# walks: a path is a tuple of step names, and its family's `moves` maps each
+# name to its displacement (dx, dy)
 
 
-def _rect_move(step: str) -> tuple[int, int]:
-    move = _RECT_MOVES.get(step)
-    if move is None:
-        raise ValueError(f"rectangle path steps must be N or E, got {step!r}")
-    return move
+class _LatticePath:
+    """Walk of named steps from (0,0) to `target`, weakly above the segment joining them.
 
+    A subclass gives the two parameter slots its own names and supplies
+    `target`, the step table `moves`, `_family` (named in the error for a
+    step the table lacks) and `_show` (how `__repr__` writes the steps).
+    """
 
-def _points(steps: Iterable[str], move) -> Iterator[tuple[int, int]]:
-    """Every lattice point of the walk, from (0,0) on."""
-    x = y = 0
-    yield (x, y)
-    for step in steps:
-        dx, dy = move(step)
-        x, y = x + dx, y + dy
+    __slots__ = ("_a", "_b", "steps")
+
+    def __init__(self, a: int, b: int, steps: Sequence[str]):
+        self._a, self._b, self.steps = a, b, tuple(steps)
+        for step in self.steps:
+            if step not in self.moves:
+                raise ValueError(f"step {step!r} is not valid for {self._family}")
+        tx, ty = target = self.target
+        for x, y in self.points():
+            if tx * y < ty * x:
+                raise ValueError(f"path dips below the diagonal at ({x}, {y})")
+        if (x, y) != target:
+            raise ValueError(f"path ends at ({x}, {y}), expected {target}")
+
+    @classmethod
+    def _from_walk(cls, a: int, b: int, steps: Sequence[str]):
+        """A path from steps that _lattice_walks already kept on or above the diagonal."""
+        # plain slot assignments: enumeration builds one path per walk
+        path = object.__new__(cls)
+        path._a, path._b, path.steps = a, b, tuple(steps)
+        return path
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self._a, self._b, self.steps) == (other._a, other._b, other.steps)
+
+    def __hash__(self):
+        return hash((self._a, self._b, self.steps))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._a}, {self._b}, {self._show(self.steps)!r})"
+
+    def points(self) -> Iterator[tuple[int, int]]:
+        """Every lattice point of the walk, from (0,0) on."""
+        moves = self.moves
+        x = y = 0
         yield (x, y)
+        for step in self.steps:
+            dx, dy = moves[step]
+            x, y = x + dx, y + dy
+            yield (x, y)
+
+    def to_json(self) -> list[str]:
+        return list(self.steps)
 
 
-def _check_walk(steps: Sequence[str], move, target: tuple[int, int]) -> tuple[str, ...]:
-    """The steps as a tuple, once the walk is checked to stay weakly above the
-    segment from (0,0) to target and to end at target."""
-    steps = tuple(steps)
-    tx, ty = target
-    for x, y in _points(steps, move):
-        if tx * y < ty * x:
-            raise ValueError(f"path dips below the diagonal at ({x}, {y})")
-    if (x, y) != target:
-        raise ValueError(f"path ends at ({x}, {y}), expected {target}")
-    return steps
-
-
-class RectPath:
+class RectPath(_LatticePath):
     """N/E path from (0,0) to (t, s) staying weakly above y = (s/t)x."""
 
-    __slots__ = ("s", "t", "steps")
+    __slots__ = ()
+    # the base's parameter slots under this family's names
+    s, t = _LatticePath._a, _LatticePath._b
+    moves = MappingProxyType({"N": (0, 1), "E": (1, 0)})
+    _family = "rectangle paths"
+    _show = "".join
 
     def __init__(self, s: int, t: int, steps: Sequence[str]):
         _require_coprime(s, t)
-        self.s, self.t = s, t
-        self.steps = _check_walk(steps, _rect_move, self.target)
-
-    @classmethod
-    def _from_walk(cls, s: int, t: int, steps: Sequence[str]) -> "RectPath":
-        """A path from steps that _lattice_walks already kept on or above the diagonal."""
-        path = object.__new__(cls)
-        path.s, path.t, path.steps = s, t, tuple(steps)
-        return path
+        super().__init__(s, t, steps)
 
     @property
     def target(self) -> tuple[int, int]:
         return (self.t, self.s)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RectPath):
-            return NotImplemented
-        return (self.s, self.t, self.steps) == (other.s, other.t, other.steps)
-
-    def __hash__(self):
-        return hash((self.s, self.t, self.steps))
-
-    def __repr__(self) -> str:
-        return f"RectPath({self.s}, {self.t}, {''.join(self.steps)!r})"
-
     def heights(self) -> tuple[int, ...]:
         """Path height over each unit column, weakly increasing."""
-        out = []
-        y = 0
-        for step in self.steps:
-            if step == "N":
-                y += 1
-            else:
-                out.append(y)
-        return tuple(out)
+        return tuple(y for (_, y), step in zip(self.points(), self.steps) if step == "E")
 
     def partition_above(self) -> Partition:
         """Cells above the path, read as column heights (weakly decreasing)."""
@@ -119,12 +121,6 @@ class RectPath:
     def coarea(self) -> int:
         """Number of cells between the path and the top-left corner."""
         return sum(self.s - h for h in self.heights())
-
-    def points(self) -> Iterator[tuple[int, int]]:
-        return _points(self.steps, _RECT_MOVES.__getitem__)
-
-    def to_json(self) -> list[str]:
-        return list(self.steps)
 
 
 def count_rect_paths(s: int, t: int) -> int:
@@ -145,11 +141,11 @@ def diagonal_partition(s: int, t: int) -> Partition:
 def enumerate_rect_paths(s: int, t: int, max_items: int | None = LIST_CAP) -> Iterator[RectPath]:
     """All (s, t) paths, N-step first at every branch (deterministic order)."""
     _require_coprime(s, t)
-    for steps in _lattice_walks(_RECT_MOVES, (t, s), max_items, f"({s},{t}) rectangle paths"):
+    for steps in _lattice_walks(RectPath.moves, (t, s), max_items, f"({s},{t}) rectangle paths"):
         yield RectPath._from_walk(s, t, steps)
 
 
-def _lattice_walks(moves: dict[str, tuple[int, int]], target: tuple[int, int],
+def _lattice_walks(moves: Mapping[str, tuple[int, int]], target: tuple[int, int],
                    max_items: int | None, what: str) -> Iterator[list[str]]:
     """Step names of every walk from (0,0) to target that stays weakly above the
     segment joining them and never rises above target's height.
@@ -192,61 +188,44 @@ def _lattice_walks(moves: dict[str, tuple[int, int]], target: tuple[int, int],
 # generalized Dyck paths
 
 
-def _step_displacement(step: str, k: int) -> tuple[int, int]:
-    move = _gd_moves(k).get(step)
-    if move is None:
-        raise ValueError(f"step {step!r} is not valid for k={k}")
-    return move
+def _require_nk(n: int, k: int) -> None:
+    if n < 1 or k < 1:
+        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
 
 
-class GeneralizedDyckPath:
+class GeneralizedDyckPath(_LatticePath):
     """Path from (0,0) to (n,n) weakly above y = x over steps Nk, Ek, D1..D(k-1)."""
 
-    __slots__ = ("n", "k", "steps")
+    __slots__ = ()
+    # the base's parameter slots under this family's names
+    n, k = _LatticePath._a, _LatticePath._b
+    _show = list
 
     def __init__(self, n: int, k: int, steps: Sequence[str]):
-        if n < 1 or k < 1:
-            raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-        self.n, self.k = n, k
-        self.steps = _check_walk(steps, lambda step: _step_displacement(step, k), self.target)
-
-    @classmethod
-    def _from_walk(cls, n: int, k: int, steps: Sequence[str]) -> "GeneralizedDyckPath":
-        """A path from steps that _lattice_walks already kept on or above y = x."""
-        path = object.__new__(cls)
-        path.n, path.k, path.steps = n, k, tuple(steps)
-        return path
+        _require_nk(n, k)
+        super().__init__(n, k, steps)
 
     @property
     def target(self) -> tuple[int, int]:
         return (self.n, self.n)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GeneralizedDyckPath):
-            return NotImplemented
-        return (self.n, self.k, self.steps) == (other.n, other.k, other.steps)
+    @property
+    def moves(self) -> MappingProxyType:
+        return _gd_moves(self.k)
 
-    def __hash__(self):
-        return hash((self.n, self.k, self.steps))
-
-    def __repr__(self) -> str:
-        return f"GeneralizedDyckPath({self.n}, {self.k}, {list(self.steps)})"
-
-    def points(self) -> Iterator[tuple[int, int]]:
-        return _points(self.steps, _gd_moves(self.k).__getitem__)
+    @property
+    def _family(self) -> str:
+        return f"k={self.k}"
 
     def inflate(self) -> tuple[str, ...]:
         """Unit N/E path with each step (dx, dy) replaced by N^dy E^dx; injective on paths."""
-        moves = _gd_moves(self.k)
+        moves = self.moves
         out: list[str] = []
         for step in self.steps:
             dx, dy = moves[step]
             out.extend("N" * dy)
             out.extend("E" * dx)
         return tuple(out)
-
-    def to_json(self) -> list[str]:
-        return list(self.steps)
 
 
 def count_gd(n: int, k: int) -> int:
@@ -263,16 +242,16 @@ def count_gd(n: int, k: int) -> int:
 
 def enumerate_gd(n: int, k: int, max_items: int | None = LIST_CAP) -> Iterator[GeneralizedDyckPath]:
     """All generalized (n,k) paths; step order Nk, Ek, D1..D(k-1) at each branch."""
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    _require_nk(n, k)
     for steps in _lattice_walks(_gd_moves(k), (n, n), max_items, f"generalized ({n},{k}) paths"):
         yield GeneralizedDyckPath._from_walk(n, k, steps)
 
 
 @lru_cache(maxsize=64)
-def _gd_moves(k: int) -> dict[str, tuple[int, int]]:
+def _gd_moves(k: int) -> MappingProxyType:
     """Displacement of every step name, in enumerate_gd's order Nk, Ek, D1..D(k-1)."""
-    return {f"N{k}": (0, k), f"E{k}": (k, 0), **{f"D{i}": (i, i) for i in range(1, k)}}
+    moves = {f"N{k}": (0, k), f"E{k}": (k, 0), **{f"D{i}": (i, i) for i in range(1, k)}}
+    return MappingProxyType(moves)
 
 
 def diagonal_cell_labels(n: int, k: int) -> dict[tuple[int, int], int]:
@@ -281,48 +260,33 @@ def diagonal_cell_labels(n: int, k: int) -> dict[tuple[int, int], int]:
     Cells are unit squares indexed by their lower-left corner; only the
     diagonals y - x = qk + 1 carry labels, and cell (x, x + qk + 1) gets
     q*(n+k) + 1 + x, so labels increase to the northeast along a diagonal
-    and successive diagonals start at 1, 1+(n+k), 1+2(n+k), ...
+    and successive diagonals start at 1, 1+(n+k), 1+2(n+k), ...  The dict
+    runs diagonal by diagonal, each from x = 0.
     """
-    return {(x, y): label for x, y, label in _cell_label_table(n, k)}
+    return {(x, x + q * k + 1): q * (n + k) + 1 + x
+            for q in range((n - 2) // k + 1) for x in range(n - q * k - 1)}
+
+
+def _labels_below(n: int, k: int, x: int, h: int) -> range:
+    """Column x's labels strictly below height h <= n, bottom to top.
+
+    The column's cells (x, x + qk + 1) carry q*(n+k) + 1 + x, an arithmetic
+    progression with difference n+k, and the first max(0, ceil((h-x-1)/k))
+    of them lie below h.
+    """
+    return range(1 + x, 1 + x + max(0, (h - x + k - 2) // k) * (n + k), n + k)
 
 
 @lru_cache(maxsize=64)
-def _cell_label_table(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
-    """(x, y, label) of every labelled cell, diagonal by diagonal."""
-    table = []
-    q = 0
-    while q * k + 1 <= n - 1:
-        d = q * k + 1
-        for x in range(n - d):
-            table.append((x, x + d, q * (n + k) + 1 + x))
-        q += 1
-    return tuple(table)
-
-
-@lru_cache(maxsize=64)
-def _column_labels(n: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Per column x, (labels, cut): the column's labels bottom to top, which is
-    increasing order, and cut[h] = how many of them lie strictly below height h."""
-    columns: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for cx, cy, label in _cell_label_table(n, k):
-        columns[cx].append((cy, label))
-    out = []
-    for cells in columns:
-        cells.sort()
-        heights = [cy for cy, _ in cells]
-        out.append((tuple(label for _, label in cells),
-                    tuple(bisect_left(heights, h) for h in range(n + 1))))
-    return tuple(out)
-
-
-@lru_cache(maxsize=64)
-def _step_labels(n: int, k: int) -> dict[str, tuple[int, int, dict[int, tuple[int, ...]]]]:
-    """Per step name, (dx, dy * (n+1), taken): a step that starts in column x
-    and rises to height y takes taken[y * (n+1) + x], the labels below y in
-    the columns x .. x+dx-1 it crosses.  gd_to_ideal fills `taken` on first
-    use, so its size follows the points that paths have visited; an entry
-    is one assignment of a fixed value, so threads may race to fill it."""
-    return {name: (dx, dy * (n + 1), {}) for name, (dx, dy) in _gd_moves(k).items()}
+def _step_labels(n: int, k: int) -> tuple[tuple[int, ...], dict[str, tuple[int, dict]]]:
+    """The run (n, ..., n+k) whose gaps the labels are, and per step name
+    (advance, taken): the step moves the point index y * (n+1) + x by
+    advance, and taken[i] holds the labels the step takes from index i, as
+    _labels_below gives them.  gd_to_ideal fills `taken` on first use, so
+    its size follows the points that paths have visited; an entry is one
+    assignment of a fixed value, so threads may race to fill it."""
+    return tuple(range(n, n + k + 1)), {
+        name: (dy * (n + 1) + dx, {}) for name, (dx, dy) in _gd_moves(k).items()}
 
 
 def gd_to_ideal(path: GeneralizedDyckPath, poset: GapPoset | None = None) -> frozenset[int]:
@@ -336,24 +300,27 @@ def gd_to_ideal(path: GeneralizedDyckPath, poset: GapPoset | None = None) -> fro
     labeling bug, not bad input.
     """
     n, k = path.n, path.k
+    run, moves = _step_labels(n, k)
     if poset is None:
         poset = consecutive_poset(n, k)
-    # a step (dx, dy) rises first (D_i inflates to N^i E^i), then runs east
-    # at its new height, so it takes the labels below that height in the
-    # columns it crosses
-    columns, moves = _column_labels(n, k), _step_labels(n, k)
+    elif poset.generators != run:
+        raise ValueError(f"a generalized ({n},{k}) path labels the ideals of "
+                         f"P_{list(run)}, got P_{list(poset.generators)}")
     labels: list[int] = []
     at = 0  # y * (n+1) + x at the current point
     for step in path.steps:
-        dx, rise, taken = moves[step]
-        at += rise
+        advance, taken = moves[step]
         got = taken.get(at)
         if got is None:
+            # a step (dx, dy) rises first (D_i inflates to N^i E^i), then runs
+            # east at its new height, so it takes the labels below that height
+            # in the columns it crosses
             y, x = divmod(at, n + 1)
+            dx, dy = _gd_moves(k)[step]
             got = taken[at] = tuple(chain.from_iterable(
-                columns[cx][0][:columns[cx][1][y]] for cx in range(x, x + dx)))
+                _labels_below(n, k, cx, y + dy) for cx in range(x, x + dx)))
         labels += got
-        at += dx
+        at += advance
     ideal = frozenset(labels)
     if not poset.is_lower_ideal(ideal):
         raise InvariantError(
@@ -379,13 +346,11 @@ def gd_size_totals(n: int, k: int) -> tuple[int, int]:
     and N c to sum K.  Polynomial: O(n^2 k) steps.  N is checked against
     multi_catalan(n, k).
     """
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    # below[x][h] = (count, sum) of the labels in column x under height h
-    below = []
-    for labels, cut in _column_labels(n, k):
-        sums = [0, *accumulate(labels)]
-        below.append([(c, sums[c]) for c in cut])
+    _require_nk(n, k)
+    # column x's labels below height h are column 0's labels below h - x, each
+    # raised by x; by_rise[d] = (count, sum) of column 0's labels below d
+    by_rise = [(len(labels), sum(labels))
+               for labels in (_labels_below(n, k, 0, d) for d in range(n + 1))]
     steps = list(_gd_moves(k).values())
     width = n + 1
     moments = [(0, 0, 0)] * (width * width)  # moments[y * width + x]
@@ -402,8 +367,8 @@ def gd_size_totals(n: int, k: int) -> tuple[int, int]:
                     continue
                 c = sigma = 0
                 for col in range(x, nx):
-                    dc, dsigma = below[col][ny]
-                    c, sigma = c + dc, sigma + dsigma
+                    dc, dsigma = by_rise[ny - col]
+                    c, sigma = c + dc, sigma + dsigma + dc * col
                 at = ny * width + nx
                 old_n, old_size, old_k = moments[at]
                 moments[at] = (
@@ -465,11 +430,15 @@ def svg_paths(paths: Sequence[RectPath] | Sequence[GeneralizedDyckPath], columns
 
     With labels=True, generalized-path panels also print the diagonal cell
     labels used by gd_to_ideal; the option is ignored for rectangle paths,
-    which carry no labeling.
+    which carry no labeling.  Every path must share the first one's family
+    and parameters.
     """
     if not paths:
         raise ValueError("no paths to render")
     first = paths[0]
+    # every panel is drawn, and labelled, for the first path's family and parameters
+    if any((type(p), p._a, p._b) != (type(first), first._a, first._b) for p in paths):
+        raise ValueError("paths of different families or parameters cannot share one grid")
     width, height = first.target
     cell_labels = None
     if labels and isinstance(first, GeneralizedDyckPath):

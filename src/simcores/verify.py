@@ -381,7 +381,7 @@ def _check_consecutive(n: int, k: int) -> tuple[bool, str]:
     return ok, detail if not ok else ""
 
 
-def equinumerosity_suite(max_pair_sum: int = 16, max_n: int = 8, max_k: int = 3,
+def equinumerosity_suite(max_pair_sum: int, max_n: int, max_k: int,
                          jobs: int = 1) -> CheckReport:
     """Cores = paths = ideals, for coprime pairs and consecutive runs."""
     instances: list[tuple[str, Callable[[], tuple[bool, str]]]] = []
@@ -399,9 +399,9 @@ def equinumerosity_suite(max_pair_sum: int = 16, max_n: int = 8, max_k: int = 3,
 
 
 # ---------------------------------------------------------------------------
-# range runners for the CLI
+# range runners for the CLI, whose flags hold the default ranges
 
-def check_symmetry_range(min_s: int = 3, max_s: int = 25, jobs: int = 1) -> CheckReport:
+def check_symmetry_range(min_s: int, max_s: int, jobs: int = 1) -> CheckReport:
     instances = []
     for s in range(min_s | 1, max_s + 1, 2):
         def thunk(s=s):
@@ -411,7 +411,7 @@ def check_symmetry_range(min_s: int = 3, max_s: int = 25, jobs: int = 1) -> Chec
     return _run_report("twin-gap symmetry", f"odd s in [{min_s}, {max_s}]", instances, jobs=jobs)
 
 
-def check_popoviciu_range(max_t: int = 12, jobs: int = 1) -> CheckReport:
+def check_popoviciu_range(max_t: int, jobs: int = 1) -> CheckReport:
     instances = []
     for s in range(1, max_t + 1):
         for t in range(s + 1, max_t + 1):
@@ -434,7 +434,7 @@ def check_popoviciu_range(max_t: int = 12, jobs: int = 1) -> CheckReport:
     return _run_report("two-generator counting", f"coprime s < t <= {max_t}, m <= st", instances, jobs=jobs)
 
 
-def check_catalan_identity_range(max_n: int = 30, max_hessenberg: int = 12, jobs: int = 1) -> CheckReport:
+def check_catalan_identity_range(max_n: int, max_hessenberg: int, jobs: int = 1) -> CheckReport:
     def identity_thunk(n):
         value = catalan_identity(n)
         return value == 0, "" if value == 0 else f"sum = {value}"
@@ -455,7 +455,7 @@ def check_catalan_identity_range(max_n: int = 30, max_hessenberg: int = 12, jobs
     )
 
 
-def check_gf_range(max_p: int = 3, terms: int = 20, jobs: int = 1) -> CheckReport:
+def check_gf_range(max_p: int, terms: int, jobs: int = 1) -> CheckReport:
     instances = []
     for p in range(1, max_p + 1):
         def thunk(p=p):
@@ -474,7 +474,7 @@ CONJECTURE_WINDOW_MAX_S = 16
 CONJECTURE_ENUM_MAX_S = 12
 
 
-def check_conjecture_range(min_s: int = 3, max_s: int = 10, jobs: int = 1) -> CheckReport:
+def check_conjecture_range(min_s: int, max_s: int, jobs: int = 1) -> CheckReport:
     """The total-size conjecture for s in [min_s, max_s], building no core past s = 12.
 
     Each lhs comes from the path DP and is compared with the window-moment
@@ -508,7 +508,7 @@ def check_conjecture_range(min_s: int = 3, max_s: int = 10, jobs: int = 1) -> Ch
     return _run_report("total-size conjecture", f"s in [{min_s}, {max_s}]", instances, jobs=jobs)
 
 
-def check_motzkin_range(max_s: int = 20, jobs: int = 1) -> CheckReport:
+def check_motzkin_range(max_s: int, jobs: int = 1) -> CheckReport:
     instances = [
         (f"s={s}", lambda s=s: (motzkin_identity_check(s), ""))
         for s in range(max_s + 1)

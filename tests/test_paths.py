@@ -1,3 +1,4 @@
+import hashlib
 import re
 from collections import Counter
 from functools import lru_cache
@@ -10,6 +11,7 @@ from simcores.partitions import Partition, subpartitions
 from simcores.paths import (
     GeneralizedDyckPath,
     RectPath,
+    _labels_below,
     count_gd,
     count_rect_paths,
     diagonal_cell_labels,
@@ -20,7 +22,13 @@ from simcores.paths import (
     gd_to_ideal,
     svg_paths,
 )
-from simcores.posets import consecutive_poset, core_to_ideal, ideal_to_core, multi_catalan
+from simcores.posets import (
+    build_gap_poset,
+    consecutive_poset,
+    core_to_ideal,
+    ideal_to_core,
+    multi_catalan,
+)
 
 
 def test_count_rect_paths():
@@ -208,12 +216,36 @@ def test_gd_to_ideal_extremes():
     assert gd_to_ideal(hugging, poset) == frozenset()
 
 
+def reference_cell_labels(n, k):
+    # reference: the labelled cells built diagonal by diagonal, y - x = qk + 1
+    # for q = 0, 1, ..., cell (x, x + qk + 1) labelled q(n+k) + 1 + x
+    labels = {}
+    q = 0
+    while q * k + 1 <= n - 1:
+        d = q * k + 1
+        for x in range(n - d):
+            labels[(x, x + d)] = q * (n + k) + 1 + x
+        q += 1
+    return labels
+
+
+def test_labels_below_match_the_diagonal_construction():
+    for n in range(1, 15):
+        for k in range(1, 5):
+            labels = reference_cell_labels(n, k)
+            for x in range(n):
+                column = sorted((y, label) for (cx, y), label in labels.items() if cx == x)
+                for h in range(n + 1):
+                    want = [label for y, label in column if y < h]
+                    assert list(_labels_below(n, k, x, h)) == want, (n, k, x, h)
+
+
 def test_gd_to_ideal_matches_the_cells_under_the_inflated_path():
     # oracle: the labelled cells (x, y) with y below the unit path's height over column x
     for n in range(1, 9):
         for k in range(1, 4):
             poset = consecutive_poset(n, k)
-            labels = diagonal_cell_labels(n, k)
+            labels = reference_cell_labels(n, k)
             for path in enumerate_gd(n, k):
                 heights, y = [], 0
                 for step in path.inflate():
@@ -223,6 +255,15 @@ def test_gd_to_ideal_matches_the_cells_under_the_inflated_path():
                         heights.append(y)
                 expected = {label for (x, cy), label in labels.items() if cy < heights[x]}
                 assert gd_to_ideal(path, poset) == expected, (n, k, path.steps)
+
+
+def test_gd_to_ideal_rejects_a_poset_of_another_run():
+    path = next(enumerate_gd(5, 2))
+    for poset in (consecutive_poset(4, 2), build_gap_poset((3, 5)), consecutive_poset(5, 1),
+                  consecutive_poset(5, 3)):
+        with pytest.raises(ValueError, match=r"labels the ideals of P_\[5, 6, 7\]"):
+            gd_to_ideal(path, poset)
+    assert gd_to_ideal(path, consecutive_poset(5, 2)) == gd_to_ideal(path)
 
 
 def test_gd_to_ideal_bijection():
@@ -294,9 +335,11 @@ def test_diagonal_labels_are_a_fresh_copy():
 
 
 def test_diagonal_labels_cover_exactly_the_gaps():
-    for n in range(2, 12):
+    for n in range(1, 12):
         for k in range(1, 5):
             labels = diagonal_cell_labels(n, k)
+            # same cells and labels as the reference, in the same order
+            assert list(labels.items()) == list(reference_cell_labels(n, k).items()), (n, k)
             assert set(labels.values()) == set(consecutive_poset(n, k).gaps), (n, k)
             assert len(labels) == len(set(labels.values()))
 
@@ -313,6 +356,24 @@ def test_svg_output():
     assert labeled.count("<text") == 8 * len(diagonal_cell_labels(4, 3))
     with pytest.raises(ValueError):
         svg_paths([])
+    # sha256 pins of the exact bytes, labels included
+    assert hashlib.sha256(svg_paths(list(enumerate_gd(4, 3)), labels=True).encode()).hexdigest() == (
+        "36231df2f69700d6cf7a2065684383e200fdb2cbd2e1a2cf36c511cfd1855eba")
+    assert hashlib.sha256(svg_paths(list(enumerate_rect_paths(4, 7))).encode()).hexdigest() == (
+        "6044a930cdb1988da913c1f595430d917cd4b9bb28ae67290b95a39684b3a968")
+
+
+def test_svg_rejects_paths_of_another_family_or_size():
+    rect = RectPath(1, 2, "NEE")
+    mixes = [
+        [rect, GeneralizedDyckPath(2, 1, ["N1", "E1", "N1", "E1"])],
+        [rect, RectPath(2, 1, "NNE")],
+        [GeneralizedDyckPath(2, 2, ["N2", "E2"]), GeneralizedDyckPath(2, 3, ["D2"])],
+    ]
+    for paths in mixes:
+        with pytest.raises(ValueError, match="cannot share one grid"):
+            svg_paths(paths)
+    assert svg_paths([rect, RectPath(1, 2, "NEE")]).count("<polyline") == 2
 
 
 def test_svg_panel_points():

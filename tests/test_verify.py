@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -205,6 +206,17 @@ def test_jobs_do_not_change_results():
     assert seq.notes == par.notes
     assert seq.failures == par.failures
     assert seq.total == par.total
+
+
+def test_range_runners_take_every_range_from_the_caller():
+    # the CLI's verify flags state the default ranges once; the runners default only jobs
+    runners = (verify.check_symmetry_range, verify.check_popoviciu_range,
+               verify.check_catalan_identity_range, verify.check_gf_range,
+               verify.check_conjecture_range, verify.check_motzkin_range,
+               verify.equinumerosity_suite)
+    for runner in runners:
+        params = inspect.signature(runner).parameters.values()
+        assert {p.name: p.default for p in params if p.default is not p.empty} == {"jobs": 1}, runner
 
 
 def test_catalan_case_closed_form():
