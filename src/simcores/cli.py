@@ -13,7 +13,7 @@ import json
 import sys
 
 from .errors import EnumerationCapError, InvariantError, SimcoresError
-from .partitions import Partition, render_ferrers
+from .partitions import Partition, partition_from_hooks, render_ferrers
 from .paths import (
     count_gd,
     count_rect_paths,
@@ -21,7 +21,7 @@ from .paths import (
     enumerate_rect_paths,
     svg_paths,
 )
-from .posets import LIST_CAP, build_gap_poset, ideal_to_core, multi_catalan
+from .posets import LIST_CAP, build_gap_poset, multi_catalan
 from .verify import (
     check_catalan_identity_range,
     check_conjecture_range,
@@ -240,11 +240,12 @@ def cmd_ideals(args) -> int:
 
 
 def cmd_cores(args) -> int:
-    # counted by the lower-ideal DP, listed through the hook-set bijection
+    # counted by the lower-ideal DP, listed through the hook-set bijection; the
+    # ideals come from iter_lower_ideals, so ideal_to_core's re-check is skipped
     poset = build_gap_poset(args.gens)
     return _listing(
         args, {"generators": list(poset.generators)}, poset.count_lower_ideals,
-        lambda cap: (ideal_to_core(poset, ideal) for ideal in poset.iter_lower_ideals(cap)),
+        lambda cap: map(partition_from_hooks, poset.iter_lower_ideals(cap)),
         key="cores", noun="simultaneous cores", kind="cores",
         what=f"lower ideals of P_{list(poset.generators)}",
         to_json=Partition.to_json, to_text=lambda core: "(" + ", ".join(map(str, core.parts)) + ")",

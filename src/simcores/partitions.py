@@ -143,31 +143,46 @@ class Partition:
         if found is not None:
             raise NotACoreError(self.parts, *found)
 
+    def _hook_mask(self) -> int:
+        """Bitmask with bit h set for every hook length h of the diagram.
+
+        Cell (i, j), 0-indexed, has hook arm + leg + 1 = (parts[i] - j - 1)
+        + (cols[j] - i - 1) + 1: a column term cols[j] + w - 1 - j less a row
+        term w + i - parts[i], where w = parts[0].  With a bit set in
+        `columns` at every column term, row i's hooks are `columns` shifted
+        right by its row term; a column j >= parts[i] has cols[j] <= i, so
+        its term falls below bit 0.  The columns of length i + 1 are
+        parts[i+1] <= j < parts[i], whose terms are one run of bits just
+        above row i's term, so the mask takes O(rows) integer operations.
+        """
+        parts = self.parts
+        if not parts:
+            return 0
+        w = parts[0]
+        columns = shorter = 0
+        row_terms = []
+        for i in range(len(parts) - 1, -1, -1):
+            part = parts[i]
+            term = w + i - part
+            columns |= ((1 << (part - shorter)) - 1) << (term + 1)
+            row_terms.append(term)
+            shorter = part
+        hooks = 0
+        for term in row_terms:
+            hooks |= columns >> term
+        return hooks
+
     def _first_divisible_hook(self, generators: Iterable[int]) -> tuple[int, int] | None:
         """First (hook, generator) in row-major, increasing-generator order
         with the generator dividing the hook; None for a simultaneous core.
 
-        Cell (i, j), 0-indexed, has hook (parts[i] - i - 1) + (cols[j] - j).
-        With rows[c] holding bit parts[i] - i - 1 + k for every row i < c,
-        column j's hooks are rows[cols[j]] shifted by cols[j] - j - k, so
-        all hooks are tested against the moduli's multiples in
-        O(rows + columns) integer operations.  Only a partition that fails
-        is scanned cell by cell, to name its first offending hook.
+        The hook bitmask is tested against the moduli's multiples all at
+        once.  Only a partition that fails is scanned cell by cell, to name
+        its first offending hook.
         """
         gens = CoreModuli(generators)
         parts = self.parts
-        if not parts:
-            return None
-        k = len(parts)
-        rows = [0]
-        for i, part in enumerate(parts):
-            rows.append(rows[-1] | 1 << (part - i - 1 + k))
-        hooks = 0
-        for j, c in enumerate(self.column_lengths()):
-            shift = c - j - k
-            # a right shift drops no hook: every hook is >= 1
-            hooks |= rows[c] << shift if shift >= 0 else rows[c] >> -shift
-        if not hooks & gens.multiples_below(parts[0] + k):
+        if not parts or not self._hook_mask() & gens.multiples_below(parts[0] + len(parts)):
             return None
         for h in self.hooks():
             for g in gens:

@@ -330,45 +330,62 @@ def gd_to_ideal(path: GeneralizedDyckPath, poset: GapPoset | None = None) -> fro
     return ideal
 
 
-def gd_size_totals(n: int, k: int) -> tuple[int, int]:
-    """(number, total size) of the cores for {n, ..., n+k}, with no path built.
+# ---------------------------------------------------------------------------
+# number and total size of the cores, by one DP over either family's walk
 
-    A dynamic program over the lattice points 0 <= x <= y <= n of
-    enumerate_gd's walk, taking the same steps.  Every column is crossed by
-    exactly one step with dx > 0, and gd_to_ideal collects that column's
-    labels strictly below the height the step ends at, so a step from (x, y)
-    to (x+dx, y+dy) adds the labels in columns x .. x+dx-1 below y+dy.
 
-    The first-column hook set I of a core has size |I| = K and sum S, and
-    the core has size |lambda| = S - K(K-1)/2.  Each point carries
-    (N, sum |lambda|, sum K) over the paths reaching it; a step adding c
-    labels of sum sigma adds N sigma - c sum K - N c(c-1)/2 to sum |lambda|
-    and N c to sum K.  Polynomial: O(n^2 k) steps.  N is checked against
-    multi_catalan(n, k).
+def _rect_labels_below(s: int, t: int, x: int, h: int) -> range:
+    """Column x's labels strictly below height h <= s, bottom to top.
+
+    Anderson's labels t*r - s*(x+1) for s(x+1)/t < r < h: one per lattice
+    point (x+1, r) strictly above the diagonal.
     """
-    _require_nk(n, k)
-    # column x's labels below height h are column 0's labels below h - x, each
-    # raised by x; by_rise[d] = (count, sum) of column 0's labels below d
-    by_rise = [(len(labels), sum(labels))
-               for labels in (_labels_below(n, k, 0, d) for d in range(n + 1))]
-    steps = list(_gd_moves(k).values())
-    width = n + 1
-    moments = [(0, 0, 0)] * (width * width)  # moments[y * width + x]
+    low = s * (x + 1)
+    return range(t * (low // t + 1) - low, t * h - low, t)
+
+
+def _count_and_sum(labels: range) -> tuple[int, int]:
+    if not labels:
+        return 0, 0
+    return len(labels), len(labels) * (labels[0] + labels[-1]) // 2
+
+
+def _walk_size_totals(moves: Mapping[str, tuple[int, int]], target: tuple[int, int],
+                      below: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, int]:
+    """(number, total core size) over the walks _lattice_walks takes, with no walk built.
+
+    A dynamic program over the lattice points of the walks' region, taking
+    the same steps.  Every column is crossed by exactly one step with
+    dx > 0, and that step takes the column's labels strictly below the
+    height it ends at, so a step from (x, y) to (x+dx, y+dy) takes the
+    labels in columns x .. x+dx-1 below y+dy; below[col][h] is the (count,
+    sum) of column col's labels below height h.
+
+    A walk's labels are the first-column hook set I of a core, of size
+    |I| = K and sum S, and the core has size |lambda| = S - K(K-1)/2.  Each
+    point carries (N, sum |lambda|, sum K) over the walks reaching it; a
+    step adding c labels of sum sigma adds N sigma - c sum K - N c(c-1)/2 to
+    sum |lambda| and N c to sum K.  Polynomial: O(points * moves) steps.
+    """
+    tx, ty = target
+    steps = list(moves.values())
+    width = tx + 1
+    moments = [(0, 0, 0)] * (width * (ty + 1))  # moments[y * width + x]
     moments[0] = (1, 0, 0)
     # every step raises y or keeps y and raises x, so row-major order is topological
-    for y in range(n + 1):
-        for x in range(y + 1):
+    for y in range(ty + 1):
+        for x in range(tx * y // ty + 1):
             cnt, size_sum, k_sum = moments[y * width + x]
             if not cnt:
                 continue
             for dx, dy in steps:
                 nx, ny = x + dx, y + dy
-                if ny > n or nx > ny:
+                if ny > ty or tx * ny < ty * nx:
                     continue
                 c = sigma = 0
                 for col in range(x, nx):
-                    dc, dsigma = by_rise[ny - col]
-                    c, sigma = c + dc, sigma + dsigma + dc * col
+                    dc, dsigma = below[col][ny]
+                    c, sigma = c + dc, sigma + dsigma
                 at = ny * width + nx
                 old_n, old_size, old_k = moments[at]
                 moments[at] = (
@@ -377,6 +394,40 @@ def gd_size_totals(n: int, k: int) -> tuple[int, int]:
                     old_k + k_sum + cnt * c,
                 )
     count, size_sum, _ = moments[-1]
+    return count, size_sum
+
+
+def rect_size_totals(s: int, t: int) -> tuple[int, int]:
+    """(number, total size) of the (s, t)-cores, with no path built.
+
+    The walk DP over enumerate_rect_paths' walk, where an east step in
+    column x at height y takes Anderson's labels t*r - s*(x+1) for
+    s(x+1)/t < r < y; a path's labels are the lower ideal of the (s, t) gap
+    poset that is the first-column hook set of its core (Anderson,
+    Partitions which are simultaneously t1- and t2-core, Discrete Math.
+    2002).  Polynomial: O(st) steps.  N is returned unchecked, for the
+    caller to compare with count_rect_paths and the lower ideals.
+    """
+    _require_coprime(s, t)
+    below = [[_count_and_sum(_rect_labels_below(s, t, x, h)) for h in range(s + 1)]
+             for x in range(t)]
+    return _walk_size_totals(RectPath.moves, (t, s), below)
+
+
+def gd_size_totals(n: int, k: int) -> tuple[int, int]:
+    """(number, total size) of the cores for {n, ..., n+k}, with no path built.
+
+    The walk DP over enumerate_gd's walk, where a step takes the labels
+    gd_to_ideal collects (_labels_below).  Polynomial: O(n^2 k) steps.  N is
+    checked against multi_catalan(n, k).
+    """
+    _require_nk(n, k)
+    # column x's labels below height h are column 0's labels below h - x, each
+    # raised by x; by_rise[d] = (count, sum) of column 0's labels below d
+    by_rise = [_count_and_sum(_labels_below(n, k, 0, d)) for d in range(n + 1)]
+    below = [[(0, 0)] * x + [(c, sigma + c * x) for c, sigma in by_rise[:n + 1 - x]]
+             for x in range(n)]
+    count, size_sum = _walk_size_totals(_gd_moves(k), (n, n), below)
     if count != multi_catalan(n, k):
         raise InvariantError(
             f"path DP counts {count} generalized ({n},{k}) paths, multi_catalan says "
@@ -431,10 +482,12 @@ def svg_paths(paths: Sequence[RectPath] | Sequence[GeneralizedDyckPath], columns
     With labels=True, generalized-path panels also print the diagonal cell
     labels used by gd_to_ideal; the option is ignored for rectangle paths,
     which carry no labeling.  Every path must share the first one's family
-    and parameters.
+    and parameters, and `columns` must be at least 1.
     """
     if not paths:
         raise ValueError("no paths to render")
+    if columns < 1:
+        raise ValueError(f"need at least one column of panels, got columns={columns}")
     first = paths[0]
     # every panel is drawn, and labelled, for the first path's family and parameters
     if any((type(p), p._a, p._b) != (type(first), first._a, first._b) for p in paths):

@@ -15,13 +15,13 @@ from typing import Callable, Container, Iterable
 
 from .errors import InvariantError, NonCoprimeError
 from .exact import binomial, catalan_number, det_exact, det_qpoly, hessenberg_catalan_det
-from .partitions import Partition, subpartitions
+from .partitions import Partition, partition_from_hooks, subpartitions
 from .paths import (
     count_rect_paths,
     enumerate_gd,
-    enumerate_rect_paths,
     gd_size_totals,
     gd_to_ideal,
+    rect_size_totals,
 )
 from .posets import GapPoset, build_gap_poset, consecutive_poset, ideal_to_core, multi_catalan
 from .qpoly import QPolynomial, q_binomial
@@ -333,28 +333,35 @@ def _coprime_pairs(max_sum: int) -> list[tuple[int, int]]:
 
 
 def _ideals_and_cores(poset: GapPoset, images: Container[frozenset[int]] = frozenset(),
-                      ) -> tuple[int, int, bool, bool]:
-    """Number of lower ideals, how many of them are in `images`, whether
-    their cores are pairwise distinct, and whether each core passes the hook
-    test for the poset's generators.  The ideals are counted, not kept."""
-    n_ideals = n_in_images = 0
+                      ) -> tuple[int, int, int, bool]:
+    """Number of lower ideals, how many of them are in `images`, the total
+    size of their cores, and whether those cores are pairwise distinct and
+    each passes the hook test for the poset's generators.  The ideals are
+    counted, not kept.  Each core is built straight from its hook set, with
+    no lower-ideal check: a gap set that is not a lower ideal holds a gap a
+    but not the gap a - g for some generator g, so its core fails the hook
+    test for g."""
+    n_ideals = n_in_images = size_sum = 0
     core_parts = set()
     all_cores = True
+    gens = poset.generators
     for ideal in poset.iter_lower_ideals():
         n_ideals += 1
         n_in_images += ideal in images
-        core = ideal_to_core(poset, ideal)
+        core = partition_from_hooks(ideal)
         core_parts.add(core.parts)
-        all_cores = all_cores and core.is_multicore(poset.generators)
-    return n_ideals, n_in_images, len(core_parts) == n_ideals, all_cores
+        size_sum += core.size
+        all_cores = all_cores and core.is_multicore(gens)
+    return n_ideals, n_in_images, size_sum, all_cores and len(core_parts) == n_ideals
 
 
 def _check_pair(s: int, t: int) -> tuple[bool, str]:
-    n_ideals, _, distinct, all_cores = _ideals_and_cores(build_gap_poset((s, t)))
-    n_paths = sum(1 for _ in enumerate_rect_paths(s, t))
+    n_ideals, _, core_sizes, cores_ok = _ideals_and_cores(build_gap_poset((s, t)))
+    n_paths, path_sizes = rect_size_totals(s, t)
     formula = count_rect_paths(s, t)
-    ok = n_ideals == n_paths == formula and distinct and all_cores
-    detail = f"ideals={n_ideals} paths={n_paths} formula={formula} cores ok={distinct and all_cores}"
+    ok = n_ideals == n_paths == formula and path_sizes == core_sizes and cores_ok
+    detail = (f"ideals={n_ideals} paths={n_paths} formula={formula} cores ok={cores_ok} "
+              f"total size: paths={path_sizes} cores={core_sizes}")
     return ok, detail if not ok else ""
 
 
@@ -365,15 +372,10 @@ def _check_consecutive(n: int, k: int) -> tuple[bool, str]:
     for path in enumerate_gd(n, k):
         n_paths += 1
         images.add(gd_to_ideal(path, poset))
-    n_ideals, n_in_images, distinct, all_cores = _ideals_and_cores(poset, images)
-    # a repeated ideal fails `distinct`; without one, this is images == ideals
+    n_ideals, n_in_images, _, cores_ok = _ideals_and_cores(poset, images)
+    # a repeated ideal fails `cores_ok`; without one, this is images == ideals
     bijection = n_in_images == n_ideals == len(images)
-    ok = (
-        n_paths == n_ideals == multi_catalan(n, k)
-        and bijection
-        and distinct
-        and all_cores
-    )
+    ok = n_paths == n_ideals == multi_catalan(n, k) and bijection and cores_ok
     detail = (
         f"paths={n_paths} ideals={n_ideals} multi_catalan={multi_catalan(n, k)} "
         f"bijection={'yes' if bijection else 'NO'}"

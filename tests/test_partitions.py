@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -134,12 +135,17 @@ def test_column_lengths_match_the_direct_definition():
             assert Partition(parts).column_lengths() == expected, parts
 
 
+def hook_set_mask(grid):
+    return sum(1 << h for h in {h for row in grid for h in row})
+
+
 def test_hook_bitmask_agrees_with_a_cell_scan():
     gen_sets = [gens for size in (1, 2, 3) for gens in combinations(range(1, 10), size)]
     for n in range(15):
         for parts in all_partitions_of(n):
             p = Partition(parts)
             grid = direct_hook_grid(p)
+            assert p._hook_mask() == hook_set_mask(grid), parts
             for gens in gen_sets:
                 found = first_divisible_by_scan(grid, gens)
                 assert p.is_multicore(gens) == (found is None), (parts, gens)
@@ -151,6 +157,10 @@ def test_hook_bitmask_agrees_with_a_cell_scan():
                     assert (err.value.hook, err.value.divisor) == found, (parts, gens)
                 if len(gens) == 1:
                     assert p.is_core(gens[0]) == (found is None), (parts, gens)
+    rng = random.Random(20141)
+    for _ in range(500):
+        p = Partition(sorted((rng.randint(1, 60) for _ in range(rng.randint(1, 40))), reverse=True))
+        assert p._hook_mask() == hook_set_mask(direct_hook_grid(p)), p
 
 
 def test_hook_bitmask_edge_cases():

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 from collections import Counter
 from functools import lru_cache
@@ -20,6 +21,7 @@ from simcores.paths import (
     enumerate_rect_paths,
     gd_size_totals,
     gd_to_ideal,
+    rect_size_totals,
     svg_paths,
 )
 from simcores.posets import (
@@ -297,6 +299,32 @@ def test_gd_size_totals_match_path_enumeration():
         gd_size_totals(0, 2)
 
 
+def coprime_pairs(max_sum):
+    return [(s, t) for s in range(1, max_sum) for t in range(s, max_sum + 1 - s)
+            if math.gcd(s, t) == 1]
+
+
+def test_rect_size_totals_match_ideal_enumeration():
+    for s, t in coprime_pairs(22):
+        poset = build_gap_poset((s, t))
+        sizes = [ideal_to_core(poset, ideal).size for ideal in poset.iter_lower_ideals()]
+        assert rect_size_totals(s, t) == (len(sizes), sum(sizes)), (s, t)
+        assert rect_size_totals(t, s) == rect_size_totals(s, t), (s, t)
+    with pytest.raises(NonCoprimeError):
+        rect_size_totals(4, 6)
+    with pytest.raises(ValueError):
+        rect_size_totals(0, 1)
+
+
+def test_rect_size_totals_give_the_armstrong_mean():
+    # mean (s,t)-core size (s+t+1)(s-1)(t-1)/24: conjectured by Armstrong,
+    # Hanusa and Jones, proved by P. Johnson (2015)
+    for s, t in coprime_pairs(40):
+        count, size_sum = rect_size_totals(s, t)
+        assert count == count_rect_paths(s, t), (s, t)
+        assert 24 * size_sum == count * (s + t + 1) * (s - 1) * (t - 1), (s, t)
+
+
 def test_path_and_window_size_totals_agree():
     for s in range(1, 17):
         assert gd_size_totals(s, 2) == consecutive_poset(s, 2).core_size_totals(), s
@@ -356,6 +384,9 @@ def test_svg_output():
     assert labeled.count("<text") == 8 * len(diagonal_cell_labels(4, 3))
     with pytest.raises(ValueError):
         svg_paths([])
+    for columns in (0, -1):
+        with pytest.raises(ValueError, match="at least one column"):
+            svg_paths(gd, columns=columns)
     # sha256 pins of the exact bytes, labels included
     assert hashlib.sha256(svg_paths(list(enumerate_gd(4, 3)), labels=True).encode()).hexdigest() == (
         "36231df2f69700d6cf7a2065684383e200fdb2cbd2e1a2cf36c511cfd1855eba")

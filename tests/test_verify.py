@@ -174,15 +174,21 @@ def test_ideals_and_cores_counts_without_keeping_the_ideals():
     poset = build_gap_poset((3, 5))
     ideals = list(poset.iter_lower_ideals())
     assert len(ideals) == 7
-    assert _ideals_and_cores(poset) == (7, 0, True, True)
-    assert _ideals_and_cores(poset, set(ideals[1:])) == (7, 6, True, True)
+    # the (3,5)-cores have sizes 0, 1, 2, 2, 4, 4, 8
+    assert _ideals_and_cores(poset) == (7, 0, 21, True)
+    assert _ideals_and_cores(poset, set(ideals[1:])) == (7, 6, 21, True)
 
 
 def test_equinumerosity_failure_details(monkeypatch):
     assert _check_pair(3, 5) == (True, "")
     assert _check_consecutive(4, 2) == (True, "")
+    monkeypatch.setattr(verify, "rect_size_totals", lambda s, t: (7, 20))
+    assert _check_pair(3, 5) == (
+        False, "ideals=7 paths=7 formula=7 cores ok=True total size: paths=20 cores=21")
+    monkeypatch.undo()
     monkeypatch.setattr(verify, "count_rect_paths", lambda s, t: 8)
-    assert _check_pair(3, 5) == (False, "ideals=7 paths=7 formula=8 cores ok=True")
+    assert _check_pair(3, 5) == (
+        False, "ideals=7 paths=7 formula=8 cores ok=True total size: paths=21 cores=21")
     monkeypatch.setattr(verify, "gd_to_ideal", lambda path, poset: frozenset())
     assert _check_consecutive(4, 2) == (
         False, "paths=9 ideals=9 multi_catalan=9 bijection=NO"
