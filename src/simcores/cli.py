@@ -13,7 +13,7 @@ import json
 import sys
 
 from .errors import EnumerationCapError, InvariantError, SimcoresError
-from .partitions import Partition, partition_from_hooks, render_ferrers
+from .partitions import Partition, render_ferrers
 from .paths import (
     count_gd,
     count_rect_paths,
@@ -240,12 +240,13 @@ def cmd_ideals(args) -> int:
 
 
 def cmd_cores(args) -> int:
-    # counted by the lower-ideal DP, listed through the hook-set bijection; the
-    # ideals come from iter_lower_ideals, so ideal_to_core's re-check is skipped
+    # counted by the lower-ideal DP, listed through the hook-set bijection, each
+    # core built row by row on the ideal walk, so ideal_to_core's re-check and
+    # sort are skipped
     poset = build_gap_poset(args.gens)
     return _listing(
         args, {"generators": list(poset.generators)}, poset.count_lower_ideals,
-        lambda cap: map(partition_from_hooks, poset.iter_lower_ideals(cap)),
+        lambda cap: (core for _, core, _ in poset.iter_cores(cap)),
         key="cores", noun="simultaneous cores", kind="cores",
         what=f"lower ideals of P_{list(poset.generators)}",
         to_json=Partition.to_json, to_text=lambda core: "(" + ", ".join(map(str, core.parts)) + ")",

@@ -17,7 +17,7 @@ from operator import mul
 from typing import Iterable, Iterator
 
 from .errors import EnumerationCapError, InfinitePosetError, InvariantError
-from .partitions import CoreModuli, Partition, partition_from_hooks
+from .partitions import CoreModuli, Partition, cores_row_by_row, partition_from_hooks
 
 # listings stop with EnumerationCapError past LIST_CAP items, the counting
 # DP past COUNT_CAP states
@@ -84,6 +84,23 @@ class GapPoset:
 
         Deterministic order: gaps are decided in increasing value, exclusion
         branch first, so the empty ideal comes first and the full gap set last.
+        """
+        yield from map(frozenset, self._walk_lower_ideals(max_items))
+
+    def iter_cores(self, max_items: int | None = LIST_CAP
+                   ) -> Iterator[tuple[list[int], Partition, int]]:
+        """(ideal, core, hook mask) for every lower ideal, in iter_lower_ideals order.
+
+        The ideal is the walk's reused increasing list of gaps, valid until
+        the next item; the core is the partition with that first-column hook
+        set, and the hook mask has bit h set for each of its hook lengths
+        (partitions.cores_row_by_row).  No ideal check is made on the way.
+        """
+        top = (self.frobenius_number or 0) + 1
+        return cores_row_by_row(self._walk_lower_ideals(max_items), top)
+
+    def _walk_lower_ideals(self, max_items: int | None) -> Iterator[list[int]]:
+        """The walk behind iter_lower_ideals: one list of gaps, reused.
 
         Bit i of `mask` records whether gaps[i] is in the current ideal, and
         `chosen` holds those gaps in increasing order.  Lower covers have
@@ -93,8 +110,9 @@ class GapPoset:
         set of indices as a bitmask, so i* is its top bit.  Dropping or adding
         a gap changes `addable` only at that gap and its at most #generators
         upper covers; each step adds one gap and a gap is dropped only after
-        it was added, so an ideal costs amortized O(#generators) steps (plus
-        building its frozenset).
+        it was added, so an ideal costs amortized O(#generators) steps.
+        Each yielded `chosen` is the previous one with its top gaps popped
+        and one larger gap pushed.
         """
         gaps = self.gaps
         index = {g: i for i, g in enumerate(gaps)}
@@ -115,7 +133,7 @@ class GapPoset:
                 raise EnumerationCapError(
                     f"lower ideals of P_{list(self.generators)}", max_items
                 )
-            yield frozenset(chosen)
+            yield chosen
             if not addable:
                 return  # only the full gap set has no addable gap
             i = addable.bit_length() - 1

@@ -15,7 +15,7 @@ from typing import Callable, Container, Iterable
 
 from .errors import InvariantError, NonCoprimeError
 from .exact import binomial, catalan_number, det_exact, det_qpoly, hessenberg_catalan_det
-from .partitions import Partition, partition_from_hooks, subpartitions
+from .partitions import Partition, subpartitions
 from .paths import (
     count_rect_paths,
     enumerate_gd,
@@ -332,26 +332,27 @@ def _coprime_pairs(max_sum: int) -> list[tuple[int, int]]:
     ]
 
 
-def _ideals_and_cores(poset: GapPoset, images: Container[frozenset[int]] = frozenset(),
+def _ideals_and_cores(poset: GapPoset, images: Container[frozenset[int]] | None = None,
                       ) -> tuple[int, int, int, bool]:
     """Number of lower ideals, how many of them are in `images`, the total
     size of their cores, and whether those cores are pairwise distinct and
     each passes the hook test for the poset's generators.  The ideals are
-    counted, not kept.  Each core is built straight from its hook set, with
-    no lower-ideal check: a gap set that is not a lower ideal holds a gap a
-    but not the gap a - g for some generator g, so its core fails the hook
-    test for g."""
-    n_ideals = n_in_images = size_sum = 0
+    counted, not kept.  Each core and its hook mask are built row by row on
+    the ideal walk (GapPoset.iter_cores), with no lower-ideal check: a gap
+    set that is not a lower ideal holds a gap a but not the gap a - g for
+    some generator g, so its core fails the hook test for g.  No hook
+    reaches the largest gap + 1, so one multiples mask serves every core."""
+    n_ideals = n_in_images = size_sum = all_hooks = 0
     core_parts = set()
-    all_cores = True
-    gens = poset.generators
-    for ideal in poset.iter_lower_ideals():
+    for ideal, core, hooks in poset.iter_cores():
         n_ideals += 1
-        n_in_images += ideal in images
-        core = partition_from_hooks(ideal)
+        if images is not None:
+            n_in_images += frozenset(ideal) in images
         core_parts.add(core.parts)
         size_sum += core.size
-        all_cores = all_cores and core.is_multicore(gens)
+        all_hooks |= hooks
+    multiples = poset.generators.multiples_below((poset.frobenius_number or 0) + 1)
+    all_cores = not all_hooks & multiples
     return n_ideals, n_in_images, size_sum, all_cores and len(core_parts) == n_ideals
 
 
@@ -378,7 +379,7 @@ def _check_consecutive(n: int, k: int) -> tuple[bool, str]:
     ok = n_paths == n_ideals == multi_catalan(n, k) and bijection and cores_ok
     detail = (
         f"paths={n_paths} ideals={n_ideals} multi_catalan={multi_catalan(n, k)} "
-        f"bijection={'yes' if bijection else 'NO'}"
+        f"bijection={'yes' if bijection else 'NO'} cores ok={cores_ok}"
     )
     return ok, detail if not ok else ""
 

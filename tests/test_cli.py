@@ -274,6 +274,7 @@ def test_cores_count_only_counts_without_enumerating(capsys, monkeypatch):
         raise AssertionError("cores --count-only enumerated the ideals")
 
     monkeypatch.setattr(GapPoset, "iter_lower_ideals", no_enumeration)
+    monkeypatch.setattr(GapPoset, "_walk_lower_ideals", no_enumeration)
     code, out, _ = run_cli(capsys, "cores", "--gens", "5,7,13", "--count-only")
     assert code == 0 and listed == f"{out.strip()} simultaneous cores\n"
     assert run_cli(capsys, "cores", "--gens", "5,7,13", "--count-only", "--format", "json") == (
@@ -346,6 +347,7 @@ def test_missing_from_file_exits_1_without_traceback(capsys, monkeypatch, tmp_pa
         raise AssertionError("enumerated before reading --from-file")
 
     monkeypatch.setattr(GapPoset, "iter_lower_ideals", no_enumeration)
+    monkeypatch.setattr(GapPoset, "_walk_lower_ideals", no_enumeration)
     monkeypatch.setattr(cli_mod, "enumerate_rect_paths", no_enumeration)
     monkeypatch.setattr(cli_mod, "enumerate_gd", no_enumeration)
     missing = str(tmp_path / "missing.json")
@@ -393,6 +395,7 @@ def test_conjecture_check_builds_no_core_past_its_oracle_ranges(capsys, monkeypa
         raise AssertionError("the conjecture check enumerated objects")
 
     monkeypatch.setattr(posets_mod.GapPoset, "iter_lower_ideals", refuse)
+    monkeypatch.setattr(posets_mod.GapPoset, "_walk_lower_ideals", refuse)
     monkeypatch.setattr(paths_mod, "enumerate_gd", refuse)
     monkeypatch.setattr(verify_mod, "enumerate_gd", refuse)
     code, out, _ = run_cli(capsys, "verify", "conjecture", "--min-s", "13", "--max-s", "16")

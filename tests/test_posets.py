@@ -9,7 +9,7 @@ import pytest
 from simcores.errors import EnumerationCapError, InfinitePosetError, NotACoreError
 from simcores.exact import binomial, catalan_number
 import simcores.posets as posets_mod
-from simcores.partitions import Partition
+from simcores.partitions import Partition, partition_from_hooks
 from simcores.posets import (
     build_gap_poset,
     consecutive_poset,
@@ -391,6 +391,32 @@ def test_bijection_round_trip_over_small_posets():
             assert core_to_ideal(core, poset) == ideal
             cores.append(core)
         assert len(set(cores)) == len(cores)
+
+
+def test_cores_built_row_by_row_match_the_sort_and_the_cell_scan():
+    posets = [build_gap_poset((s, t)) for s in range(1, 18) for t in range(s, 19 - s)
+              if math.gcd(s, t) == 1]
+    posets += [consecutive_poset(n, k) for n in range(1, 11) for k in range(1, 4)]
+    posets += [build_gap_poset((5, 8, 13)), build_gap_poset((7, 9, 11, 13))]
+    n_cores = 0
+    for poset in posets:
+        for (ideal, core, hooks), expected in zip(poset.iter_cores(), poset.iter_lower_ideals(),
+                                                  strict=True):
+            assert ideal == sorted(expected)
+            assert core == partition_from_hooks(expected), (poset, ideal)
+            assert hooks == sum(1 << h for h in set(core.hooks())), (poset, core)
+            n_cores += 1
+    assert n_cores == 37648
+
+
+def test_iter_cores_shares_the_walk_cap():
+    poset = build_gap_poset((5, 7))
+    with pytest.raises(EnumerationCapError) as err:
+        list(poset.iter_cores(max_items=65))
+    assert str(err.value) == "lower ideals of P_[5, 7] exceeds the cap of 65; raise the cap to proceed"
+    assert len(list(poset.iter_cores(max_items=66))) == 66
+    # no gaps: only the empty ideal, whose core has no hooks
+    assert list(build_gap_poset((1, 4)).iter_cores()) == [([], Partition(), 0)]
 
 
 def test_gap_membership_matches_popoviciu():

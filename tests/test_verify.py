@@ -9,7 +9,7 @@ from simcores.exact import binomial, catalan_number
 from simcores.errors import NonCoprimeError
 from simcores.partitions import Partition, partitions_in_box
 from simcores.paths import diagonal_partition
-from simcores.posets import build_gap_poset, multi_catalan
+from simcores.posets import GapPoset, build_gap_poset, multi_catalan
 from simcores.qpoly import QPolynomial
 from simcores.verify import (
     _check_consecutive,
@@ -191,8 +191,27 @@ def test_equinumerosity_failure_details(monkeypatch):
         False, "ideals=7 paths=7 formula=8 cores ok=True total size: paths=21 cores=21")
     monkeypatch.setattr(verify, "gd_to_ideal", lambda path, poset: frozenset())
     assert _check_consecutive(4, 2) == (
-        False, "paths=9 ideals=9 multi_catalan=9 bijection=NO"
+        False, "paths=9 ideals=9 multi_catalan=9 bijection=NO cores ok=True"
     )
+
+
+def test_a_walk_that_yields_a_non_ideal_or_a_repeat_fails_cores_ok(monkeypatch):
+    # each list is the one before cut to some length and extended by one gap,
+    # as the real walk yields them; {4} replaces the ideal {1, 4} of (3,5), and
+    # {5} the ideal {1, 2, 5} of (3,4), keeping the counts and total sizes.
+    # Neither comes last, so a test of the last core alone misses them.
+    walks = {(3, 5): [[], [1], [1, 2], [1, 2, 4], [1, 2, 4, 7], [4], [2]],
+             (3, 4): [[], [1], [1, 2], [5], [2]]}
+    monkeypatch.setattr(GapPoset, "_walk_lower_ideals",
+                        lambda self, max_items: iter(walks[self.generators]))
+    assert _check_pair(3, 5) == (
+        False, "ideals=7 paths=7 formula=7 cores ok=False total size: paths=21 cores=21")
+    assert _check_consecutive(3, 1) == (
+        False, "paths=5 ideals=5 multi_catalan=5 bijection=NO cores ok=False")
+    # a repeated ideal: every core passes the hook test, but two are equal
+    walks[3, 5] = [[], [1], [1, 2], [1, 2, 4], [1, 2, 4, 7], [1], [2]]
+    assert _check_pair(3, 5) == (
+        False, "ideals=7 paths=7 formula=7 cores ok=False total size: paths=21 cores=18")
 
 
 def test_check_report_shape():
