@@ -13,8 +13,9 @@ and k = 2 encodes Motzkin paths.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
+from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -146,42 +147,61 @@ def enumerate_rect_paths(s: int, t: int, max_items: int | None = LIST_CAP) -> It
 
 
 def _lattice_walks(moves: Mapping[str, tuple[int, int]], target: tuple[int, int],
-                   max_items: int | None, what: str) -> Iterator[list[str]]:
+                   max_items: int | None, what: str,
+                   labels: Sequence[Sequence[int]] | None = None) -> Iterator[list[str] | int]:
     """Step names of every walk from (0,0) to target that stays weakly above the
     segment joining them and never rises above target's height.
 
     Depth first, trying `moves` (name -> (dx, dy)) in their order at each
-    point, as one loop over an explicit stack of (x, y, next move) frames,
-    so path length is not limited by recursion depth.  The yielded list is
-    reused: callers copy it before resuming.  Raises EnumerationCapError
-    (naming `what`) on reaching walk max_items + 1.
+    point, as one loop over an explicit stack of (x, y, next move, label
+    mask) frames, so path length is not limited by recursion depth.  The
+    yielded list is reused: callers copy it before resuming.  Raises
+    EnumerationCapError (naming `what`) on reaching walk max_items + 1.
+
+    With `labels`, a table whose entry [x][h] is the bitmask of column x's
+    labels strictly below height h, each walk yields its label set as one
+    int in place of the steps.  Every column is crossed by exactly one step
+    with dx > 0, and a step from (x, y) to (x+dx, y+dy) takes the labels of
+    columns x .. x+dx-1 below y+dy, so each frame carries the OR of the
+    label masks taken on the way to it.
     """
     tx, ty = target
-    moves = [(name, dx, dy) for name, (dx, dy) in moves.items()]
+    moves = [(name, dx, dy, _step_gains(labels, dx, tx) if labels is not None else None)
+             for name, (dx, dy) in moves.items()]
     n_moves = len(moves)
     steps: list[str] = []
-    stack = [(0, 0, 0)]
+    stack = [(0, 0, 0, 0)]
     count = 0
     while stack:
-        x, y, m = stack.pop()
+        x, y, m, taken = stack.pop()
         if x == tx and y == ty:
             count += 1
             if max_items is not None and count > max_items:
                 raise EnumerationCapError(what, max_items)
-            yield steps
+            yield steps if labels is None else taken
             m = n_moves  # nothing is admissible from the target
         while m < n_moves:
-            name, dx, dy = moves[m]
+            name, dx, dy, gain = moves[m]
             m += 1
             nx, ny = x + dx, y + dy
             if ny <= ty and tx * ny >= ty * nx:
-                stack.append((x, y, m))
-                stack.append((nx, ny, 0))
+                stack.append((x, y, m, taken))
+                stack.append((nx, ny, 0, taken | gain[x][ny] if gain else taken))
                 steps.append(name)
                 break
         else:
             if stack:  # every frame but the first was entered by a step
                 steps.pop()
+
+
+def _step_gains(labels: Sequence[Sequence[int]], dx: int, tx: int) -> list[list[int]] | None:
+    """gain[x][h]: the labels a step of width dx from column x to height h
+    takes, the OR of labels[x .. x+dx-1][h], for every start column
+    x <= tx - dx; None for a step that crosses no column."""
+    if not dx:
+        return None
+    return [[reduce(or_, column_masks) for column_masks in zip(*labels[x:x + dx])]
+            for x in range(tx - dx + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +265,28 @@ def enumerate_gd(n: int, k: int, max_items: int | None = LIST_CAP) -> Iterator[G
     _require_nk(n, k)
     for steps in _lattice_walks(_gd_moves(k), (n, n), max_items, f"generalized ({n},{k}) paths"):
         yield GeneralizedDyckPath._from_walk(n, k, steps)
+
+
+def gd_label_masks(n: int, k: int, max_items: int | None = LIST_CAP) -> Iterator[int]:
+    """The label set of every generalized (n,k) path as a bitmask, in enumerate_gd order.
+
+    Bit l is set for each label l that gd_to_ideal collects from the path,
+    but no path object is built and the set is not checked to be a lower
+    ideal (GapPoset.is_lower_ideal_mask checks it).  Shares enumerate_gd's
+    walk, cap and cap message.
+    """
+    _require_nk(n, k)
+    return _lattice_walks(_gd_moves(k), (n, n), max_items, f"generalized ({n},{k}) paths",
+                          _gd_label_table(n, k))
+
+
+def _gd_label_table(n: int, k: int) -> list[list[int]]:
+    """table[x][h]: the bitmask of column x's labels strictly below height h <= n.
+
+    Column x's labels below h are column 0's labels below h - x, each raised by x.
+    """
+    by_rise = [sum(1 << label for label in _labels_below(n, k, 0, d)) for d in range(n + 1)]
+    return [[0] * x + [mask << x for mask in by_rise[:n + 1 - x]] for x in range(n)]
 
 
 @lru_cache(maxsize=64)

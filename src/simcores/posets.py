@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain
 from operator import mul
 from typing import Iterable, Iterator
 
@@ -28,7 +27,8 @@ COUNT_CAP = 10**7
 class GapPoset:
     """Immutable poset of the gaps of a numerical semigroup."""
 
-    __slots__ = ("generators", "gaps", "covers", "_gapset", "_representable", "_lower")
+    __slots__ = ("generators", "gaps", "covers", "_gapset", "_gapmask", "_representable",
+                 "_lower")
 
     def __init__(self, generators: Iterable[int]):
         gens = CoreModuli(generators)
@@ -41,8 +41,9 @@ class GapPoset:
             m for m in range(1, len(self._representable)) if not self._representable[m]
         )
         self._gapset = frozenset(self.gaps)
+        self._gapmask = sum(1 << g for g in self.gaps)
         # lower covers of every gap, in generator order; built once and read by
-        # covers, lower_covers, is_lower_ideal and both ideal algorithms
+        # covers, lower_covers and both ideal algorithms
         self._lower = {a: self._covers_below(a) for a in self.gaps}
         self.covers = tuple((a, c) for a in self.gaps for c in self._lower[a])
 
@@ -73,11 +74,31 @@ class GapPoset:
         return covers if covers is not None else self._covers_below(a)
 
     def is_lower_ideal(self, subset: Iterable[int]) -> bool:
-        """Downward closure check; closure under covers equals closure under the order."""
-        ideal = frozenset(subset)
-        if not ideal <= self._gapset:
-            return False
-        return ideal.issuperset(chain.from_iterable(map(self._lower.__getitem__, ideal)))
+        """Whether a set of values is a set of gaps closed downward (is_lower_ideal_mask)."""
+        gapset = self._gapset
+        mask = 0
+        for a in subset:
+            if a not in gapset:
+                return False
+            mask |= 1 << a
+        return self.is_lower_ideal_mask(mask)
+
+    def is_lower_ideal_mask(self, mask: int) -> bool:
+        """Whether the gaps with a bit set in `mask` form a lower ideal.
+
+        Every bit must be a gap, and the set must be closed under covers,
+        which is closure under the order: for each generator g, a member a
+        whose a - g is a gap must hold a - g.  Shifting the mask right by g
+        moves a to a - g, so that is one test per generator.
+        """
+        gapmask = self._gapmask
+        if mask & ~gapmask:
+            return False  # a non-gap bit, or a negative mask
+        missing = gapmask & ~mask
+        for g in self.generators:
+            if mask >> g & missing:
+                return False
+        return True
 
     def iter_lower_ideals(self, max_items: int | None = LIST_CAP) -> Iterator[frozenset[int]]:
         """Every lower ideal exactly once, as a frozenset of gap values.
@@ -93,8 +114,19 @@ class GapPoset:
 
         The ideal is the walk's reused increasing list of gaps, valid until
         the next item; the core is the partition with that first-column hook
-        set, and the hook mask has bit h set for each of its hook lengths
-        (partitions.cores_row_by_row).  No ideal check is made on the way.
+        set, and the hook mask has bit h set for each of its hook lengths.
+        Each is iter_core_rows' item with its parts wrapped as a Partition.
+        """
+        for ideal, parts, _, hooks in self.iter_core_rows(max_items):
+            yield ideal, Partition._from_parts(parts), hooks
+
+    def iter_core_rows(self, max_items: int | None = LIST_CAP
+                       ) -> Iterator[tuple[list[int], tuple[int, ...], int, int]]:
+        """(ideal, parts, size, hook mask) of every lower ideal's core, with no Partition built.
+
+        The cores are built row by row on the lower-ideal walk
+        (partitions.cores_row_by_row), in iter_lower_ideals order and under
+        its cap; no ideal check is made on the way.
         """
         top = (self.frobenius_number or 0) + 1
         return cores_row_by_row(self._walk_lower_ideals(max_items), top)

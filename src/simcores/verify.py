@@ -11,7 +11,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from operator import mul
-from typing import Callable, Container, Iterable
+from typing import Callable, Iterable
 
 from .errors import InvariantError, NonCoprimeError
 from .exact import binomial, catalan_number, det_exact, det_qpoly, hessenberg_catalan_det
@@ -19,6 +19,7 @@ from .partitions import Partition, subpartitions
 from .paths import (
     count_rect_paths,
     enumerate_gd,
+    gd_label_masks,
     gd_size_totals,
     gd_to_ideal,
     rect_size_totals,
@@ -332,32 +333,29 @@ def _coprime_pairs(max_sum: int) -> list[tuple[int, int]]:
     ]
 
 
-def _ideals_and_cores(poset: GapPoset, images: Container[frozenset[int]] | None = None,
-                      ) -> tuple[int, int, int, bool]:
-    """Number of lower ideals, how many of them are in `images`, the total
-    size of their cores, and whether those cores are pairwise distinct and
-    each passes the hook test for the poset's generators.  The ideals are
-    counted, not kept.  Each core and its hook mask are built row by row on
-    the ideal walk (GapPoset.iter_cores), with no lower-ideal check: a gap
-    set that is not a lower ideal holds a gap a but not the gap a - g for
-    some generator g, so its core fails the hook test for g.  No hook
+def _ideals_and_cores(poset: GapPoset) -> tuple[int, int, bool]:
+    """Number of lower ideals, the total size of their cores, and whether
+    those cores are pairwise distinct and each passes the hook test for the
+    poset's generators.  The ideals are counted, not kept.  Each core's
+    parts, size and hook mask are built row by row on the ideal walk
+    (GapPoset.iter_core_rows), with no Partition and no lower-ideal check: a
+    gap set that is not a lower ideal holds a gap a but not the gap a - g
+    for some generator g, so its core fails the hook test for g.  No hook
     reaches the largest gap + 1, so one multiples mask serves every core."""
-    n_ideals = n_in_images = size_sum = all_hooks = 0
+    n_ideals = size_sum = all_hooks = 0
     core_parts = set()
-    for ideal, core, hooks in poset.iter_cores():
+    for _, parts, size, hooks in poset.iter_core_rows():
         n_ideals += 1
-        if images is not None:
-            n_in_images += frozenset(ideal) in images
-        core_parts.add(core.parts)
-        size_sum += core.size
+        core_parts.add(parts)
+        size_sum += size
         all_hooks |= hooks
     multiples = poset.generators.multiples_below((poset.frobenius_number or 0) + 1)
     all_cores = not all_hooks & multiples
-    return n_ideals, n_in_images, size_sum, all_cores and len(core_parts) == n_ideals
+    return n_ideals, size_sum, all_cores and len(core_parts) == n_ideals
 
 
 def _check_pair(s: int, t: int) -> tuple[bool, str]:
-    n_ideals, _, core_sizes, cores_ok = _ideals_and_cores(build_gap_poset((s, t)))
+    n_ideals, core_sizes, cores_ok = _ideals_and_cores(build_gap_poset((s, t)))
     n_paths, path_sizes = rect_size_totals(s, t)
     formula = count_rect_paths(s, t)
     ok = n_ideals == n_paths == formula and path_sizes == core_sizes and cores_ok
@@ -367,15 +365,19 @@ def _check_pair(s: int, t: int) -> tuple[bool, str]:
 
 
 def _check_consecutive(n: int, k: int) -> tuple[bool, str]:
+    """Paths = ideals = multi_catalan(n, k), with gd_to_ideal's map checked
+    path by path on label bitmasks.
+
+    Each path's image is a lower ideal, the images are distinct, and there
+    are as many as the walk yields ideals, so they are all of the ideals.
+    """
     poset = consecutive_poset(n, k)
-    n_paths = 0
-    images = set()
-    for path in enumerate_gd(n, k):
-        n_paths += 1
-        images.add(gd_to_ideal(path, poset))
-    n_ideals, n_in_images, _, cores_ok = _ideals_and_cores(poset, images)
-    # a repeated ideal fails `cores_ok`; without one, this is images == ideals
-    bijection = n_in_images == n_ideals == len(images)
+    masks = list(gd_label_masks(n, k))
+    n_paths = len(masks)
+    images = set(masks)
+    n_ideals, _, cores_ok = _ideals_and_cores(poset)
+    bijection = (all(map(poset.is_lower_ideal_mask, images))
+                 and len(images) == n_paths == n_ideals)
     ok = n_paths == n_ideals == multi_catalan(n, k) and bijection and cores_ok
     detail = (
         f"paths={n_paths} ideals={n_ideals} multi_catalan={multi_catalan(n, k)} "

@@ -13,12 +13,15 @@ from simcores.paths import (
     GeneralizedDyckPath,
     RectPath,
     _labels_below,
+    _lattice_walks,
+    _rect_labels_below,
     count_gd,
     count_rect_paths,
     diagonal_cell_labels,
     diagonal_partition,
     enumerate_gd,
     enumerate_rect_paths,
+    gd_label_masks,
     gd_size_totals,
     gd_to_ideal,
     rect_size_totals,
@@ -297,6 +300,35 @@ def test_gd_size_totals_match_path_enumeration():
         assert gd_size_totals(n, k) == (len(cores), sum(core.size for core in cores)), (n, k)
     with pytest.raises(ValueError):
         gd_size_totals(0, 2)
+
+
+def test_gd_label_masks_are_gd_to_ideal_path_by_path():
+    for n, k in [(n, k) for n in range(1, 10) for k in range(1, 4)] + [(12, 2)]:
+        expected = [sum(1 << g for g in ideal) for ideal, _ in path_ideals_and_cores(n, k)]
+        assert list(gd_label_masks(n, k)) == expected, (n, k)
+    with pytest.raises(EnumerationCapError) as err:
+        list(gd_label_masks(6, 1, max_items=3))
+    assert str(err.value).startswith("generalized (6,1) paths exceeds the cap of 3")
+    with pytest.raises(EnumerationCapError) as err:
+        list(gd_label_masks(4, 2, max_items=8))
+    assert str(err.value) == ("generalized (4,2) paths exceeds the cap of 8; "
+                              "raise the cap to proceed")
+    assert len(list(gd_label_masks(4, 2, max_items=9))) == 9
+    with pytest.raises(ValueError):
+        gd_label_masks(0, 2)
+
+
+def test_walk_label_masks_of_rectangle_paths_are_the_ideals():
+    # the mask mode is generic: with Anderson's labels, the rectangle paths
+    # map one to one onto the lower ideals of the (s, t) gap poset
+    for s, t in coprime_pairs(16):
+        labels = [[sum(1 << a for a in _rect_labels_below(s, t, x, h)) for h in range(s + 1)]
+                  for x in range(t)]
+        masks = list(_lattice_walks(RectPath.moves, (t, s), None, "rect", labels))
+        poset = build_gap_poset((s, t))
+        ideals = {sum(1 << g for g in ideal) for ideal in poset.iter_lower_ideals()}
+        assert len(masks) == count_rect_paths(s, t), (s, t)
+        assert set(masks) == ideals and len(ideals) == len(masks), (s, t)
 
 
 def coprime_pairs(max_sum):

@@ -122,6 +122,42 @@ def test_ideal_enumeration_is_deterministic_and_valid():
     assert not poset.is_lower_ideal({1, 99})
 
 
+def cover_closed(poset, subset):
+    # the cover-closure rule: every member is a gap and holds its lower covers
+    ideal = frozenset(subset)
+    gaps = frozenset(poset.gaps)
+    return ideal <= gaps and all(c in ideal for a in ideal for c in poset.lower_covers(a))
+
+
+def test_is_lower_ideal_matches_the_cover_closure_rule():
+    rng = random.Random(14)
+    cases = []
+    for gens in [(3, 5), (4, 7), (5, 6, 7)]:
+        poset = build_gap_poset(gens)
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(poset.gaps, r) for r in range(len(poset.gaps) + 1))
+        cases.append((poset, list(subsets)))
+    poset = consecutive_poset(12, 2)
+    ideals = [sorted(ideal) for ideal in itertools.islice(poset.iter_lower_ideals(), 0, None, 97)]
+    cases.append((poset, [rng.sample(poset.gaps, rng.randrange(len(poset.gaps) + 1))
+                          for _ in range(2000)] + ideals))
+    for poset, subsets in cases:
+        n_ideals = 0
+        for subset in subsets:
+            want = cover_closed(poset, subset)
+            assert poset.is_lower_ideal(subset) == want, (poset, subset)
+            assert poset.is_lower_ideal_mask(sum(1 << a for a in subset)) == want, (poset, subset)
+            n_ideals += want
+        assert 0 < n_ideals < len(subsets), poset
+    poset = build_gap_poset((3, 5))
+    assert poset.is_lower_ideal([]) and poset.is_lower_ideal_mask(0)
+    for bad in ([0], [3], [-1], [1, -2], [1, 8], [1, 99]):
+        assert not poset.is_lower_ideal(bad), bad
+    assert not poset.is_lower_ideal_mask(1)  # 0 is not a gap
+    assert not poset.is_lower_ideal_mask(-1 << 1)  # nor is any negative bit pattern
+    assert not poset.is_lower_ideal_mask(1 << 8)
+
+
 def recursive_lower_ideals(poset):
     # reference: the include/exclude recursion, exclusion branch first
     gaps = poset.gaps
@@ -400,13 +436,19 @@ def test_cores_built_row_by_row_match_the_sort_and_the_cell_scan():
     posets += [build_gap_poset((5, 8, 13)), build_gap_poset((7, 9, 11, 13))]
     n_cores = 0
     for poset in posets:
-        for (ideal, core, hooks), expected in zip(poset.iter_cores(), poset.iter_lower_ideals(),
-                                                  strict=True):
+        rows = poset.iter_core_rows()
+        for (ideal, parts, size, hooks), expected in zip(rows, poset.iter_lower_ideals(),
+                                                         strict=True):
+            core = partition_from_hooks(expected)
             assert ideal == sorted(expected)
-            assert core == partition_from_hooks(expected), (poset, ideal)
+            assert parts == core.parts and size == core.size, (poset, ideal)
             assert hooks == sum(1 << h for h in set(core.hooks())), (poset, core)
             n_cores += 1
     assert n_cores == 37648
+    # iter_cores is the same stream with the parts wrapped as a Partition
+    poset = build_gap_poset((5, 8, 13))
+    assert [(list(i), c, h) for i, c, h in poset.iter_cores()] == [
+        (list(i), Partition(p), h) for i, p, _, h in poset.iter_core_rows()]
 
 
 def test_iter_cores_shares_the_walk_cap():

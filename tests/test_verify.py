@@ -4,12 +4,12 @@ import math
 
 import pytest
 
-from simcores import verify
+from simcores import paths, posets, verify
 from simcores.exact import binomial, catalan_number
 from simcores.errors import NonCoprimeError
 from simcores.partitions import Partition, partitions_in_box
 from simcores.paths import diagonal_partition
-from simcores.posets import GapPoset, build_gap_poset, multi_catalan
+from simcores.posets import GapPoset, build_gap_poset, consecutive_poset, multi_catalan
 from simcores.qpoly import QPolynomial
 from simcores.verify import (
     _check_consecutive,
@@ -175,8 +175,7 @@ def test_ideals_and_cores_counts_without_keeping_the_ideals():
     ideals = list(poset.iter_lower_ideals())
     assert len(ideals) == 7
     # the (3,5)-cores have sizes 0, 1, 2, 2, 4, 4, 8
-    assert _ideals_and_cores(poset) == (7, 0, 21, True)
-    assert _ideals_and_cores(poset, set(ideals[1:])) == (7, 6, 21, True)
+    assert _ideals_and_cores(poset) == (7, 21, True)
 
 
 def test_equinumerosity_failure_details(monkeypatch):
@@ -189,10 +188,48 @@ def test_equinumerosity_failure_details(monkeypatch):
     monkeypatch.setattr(verify, "count_rect_paths", lambda s, t: 8)
     assert _check_pair(3, 5) == (
         False, "ideals=7 paths=7 formula=8 cores ok=True total size: paths=21 cores=21")
-    monkeypatch.setattr(verify, "gd_to_ideal", lambda path, poset: frozenset())
+    # every path yields the empty label set
+    monkeypatch.setattr(paths, "_gd_label_table", lambda n, k: [[0] * (n + 1)] * n)
     assert _check_consecutive(4, 2) == (
         False, "paths=9 ideals=9 multi_catalan=9 bijection=NO cores ok=True"
     )
+
+
+def test_a_path_whose_labels_are_not_an_ideal_fails_the_bijection(monkeypatch):
+    real = paths._gd_label_table(4, 2)
+    # only N2 N2 E2 E2 crosses column 0 at height 4; adding the non-gap 0 to
+    # its labels there makes that one image a non-ideal, distinct from the rest
+    table = [list(column) for column in real]
+    table[0][4] |= 1
+    monkeypatch.setattr(paths, "_gd_label_table", lambda n, k: table)
+    masks = list(paths.gd_label_masks(4, 2))
+    monkeypatch.setattr(paths, "_gd_label_table", lambda n, k: real)
+    changed = [a for a, b in zip(masks, paths.gd_label_masks(4, 2), strict=True) if a != b]
+    assert len(changed) == 1 and len(set(masks)) == 9
+    monkeypatch.setattr(paths, "_gd_label_table", lambda n, k: table)
+    assert _check_consecutive(4, 2) == (
+        False, "paths=9 ideals=9 multi_catalan=9 bijection=NO cores ok=True"
+    )
+
+
+def test_the_equinumerosity_checks_build_no_path_partition_or_frozenset(monkeypatch):
+    # posets are built, and cached, before the patches: their constructor
+    # keeps a frozenset of the gaps
+    consecutive_poset(9, 3)
+    build_gap_poset((9, 11))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an object the check should not build")
+
+    monkeypatch.setattr(paths.GeneralizedDyckPath, "_from_walk", refuse)
+    monkeypatch.setattr(Partition, "_from_parts", refuse)
+    monkeypatch.setattr(Partition, "__init__", refuse)
+    monkeypatch.setattr(GapPoset, "is_lower_ideal", refuse)
+    monkeypatch.setattr(GapPoset, "iter_lower_ideals", refuse)
+    for module in (verify, paths, posets):
+        monkeypatch.setattr(module, "frozenset", refuse, raising=False)
+    assert _check_consecutive(9, 3) == (True, "")
+    assert _check_pair(9, 11) == (True, "")
 
 
 def test_a_walk_that_yields_a_non_ideal_or_a_repeat_fails_cores_ok(monkeypatch):
@@ -206,8 +243,10 @@ def test_a_walk_that_yields_a_non_ideal_or_a_repeat_fails_cores_ok(monkeypatch):
                         lambda self, max_items: iter(walks[self.generators]))
     assert _check_pair(3, 5) == (
         False, "ideals=7 paths=7 formula=7 cores ok=False total size: paths=21 cores=21")
+    # the path images are checked pointwise, not against the walk, so only
+    # the hook test sees the non-ideal
     assert _check_consecutive(3, 1) == (
-        False, "paths=5 ideals=5 multi_catalan=5 bijection=NO cores ok=False")
+        False, "paths=5 ideals=5 multi_catalan=5 bijection=yes cores ok=False")
     # a repeated ideal: every core passes the hook test, but two are equal
     walks[3, 5] = [[], [1], [1, 2], [1, 2, 4], [1, 2, 4, 7], [1], [2]]
     assert _check_pair(3, 5) == (
