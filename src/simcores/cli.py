@@ -181,7 +181,8 @@ def cmd_poset(args) -> int:
 
 
 def _listing(args, params: dict, count, enumerate_items, *, key: str, noun: str, kind: str,
-             what: str, to_json, to_text, totals=lambda items: {}, write=None) -> int:
+             what: str, to_json, to_text, totals=lambda items: {}, count_totals=None,
+             write=None) -> int:
     """The count, list, JSON and round-trip route of every listing command.
 
     `--from-file` is read before any work, `--count-only` counts without
@@ -189,16 +190,25 @@ def _listing(args, params: dict, count, enumerate_items, *, key: str, noun: str,
     anything else enumerates once under the listing cap.  The items are named
     `key` in JSON, `noun` in the count line, `kind` in the round-trip verdict
     and `what` in the count's cap error; `totals(items)` adds named totals,
-    and `write(items)`, when given, replaces the printed listing.
+    `count_totals()`, when given, replaces `count()` with (count, the same
+    named totals) for `--count-only`, and `write(items)`, when given,
+    replaces the printed listing.
     """
     if args.from_file:
         with open(args.from_file) as fh:
             recorded = json.load(fh)
     elif args.count_only:
-        n = count()
+        n, extra = count_totals() if count_totals else (count(), {})
         if args.max_items is not None and n > args.max_items:
             raise EnumerationCapError(what, args.max_items)
-        print(json.dumps(dict(params, count=str(n))) if args.format == "json" else n)
+        if args.format == "json":
+            payload = dict(params, count=str(n))
+            payload.update((name, str(value)) for name, value in extra.items())
+            print(json.dumps(payload))
+            return 0
+        print(n)
+        for name, value in extra.items():
+            print(f"{name.replace('_', ' ')}: {value}")
         return 0
     items = list(enumerate_items(LIST_CAP if args.max_items is None else args.max_items))
     payload = dict(params, count=str(len(items)))
@@ -240,10 +250,15 @@ def cmd_ideals(args) -> int:
 
 
 def cmd_cores(args) -> int:
-    # counted by the lower-ideal DP, listed through the hook-set bijection, each
-    # core built row by row on the ideal walk, so ideal_to_core's re-check and
-    # sort are skipped
+    # counted (and, with --total-size, sized) by the lower-ideal DP, listed
+    # through the hook-set bijection, each core built row by row on the ideal
+    # walk, so ideal_to_core's re-check and sort are skipped
     poset = build_gap_poset(args.gens)
+
+    def count_totals():
+        count, total_size = poset.core_size_totals()
+        return count, {"total_size": total_size}
+
     return _listing(
         args, {"generators": list(poset.generators)}, poset.count_lower_ideals,
         lambda cap: (core for _, core, _ in poset.iter_cores(cap)),
@@ -251,6 +266,7 @@ def cmd_cores(args) -> int:
         what=f"lower ideals of P_{list(poset.generators)}",
         to_json=Partition.to_json, to_text=lambda core: "(" + ", ".join(map(str, core.parts)) + ")",
         totals=lambda cores: {"total_size": sum(c.size for c in cores)} if args.total_size else {},
+        count_totals=count_totals if args.total_size else None,
     )
 
 

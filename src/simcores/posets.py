@@ -183,23 +183,6 @@ class GapPoset:
                 if need[u] & mask == need[u]:
                     addable |= 1 << u
 
-    def _window_steps(self) -> Iterator[tuple[int, int, int, int]]:
-        """The per-gap rule of the window DPs over the gaps in increasing value.
-
-        Only values within max(generators) of the current gap g can be lower
-        covers of g or of a later gap, so a state is the membership pattern of
-        those values: bit d says whether g - d is in the ideal.  Moving to g
-        shifts every key left by `shift` and keeps the bits in `in_range`,
-        merging keys that become equal; g may then join a state's ideal when
-        the key holds all of `need`, g's lower covers, and joining sets bit 0.
-        Yields (g, shift, in_range, need) per gap.
-        """
-        in_range = (1 << (self.generators[-1] + 1)) - 1
-        prev = 0
-        for g in self.gaps:
-            yield g, g - prev, in_range, sum(1 << (g - c) for c in self._lower[g])
-            prev = g
-
     def _check_state_count(self, states: dict, max_states: int | None) -> None:
         if max_states is not None and len(states) > max_states:
             raise EnumerationCapError(
@@ -207,56 +190,93 @@ class GapPoset:
             )
 
     def count_lower_ideals(self, max_states: int | None = COUNT_CAP) -> int:
-        """Number of lower ideals, by dynamic programming over the gaps in increasing value.
+        """Number of lower ideals: the N of core_size_totals' residue-class DP.
 
-        The states and moves are those of _window_steps, with a count per key.
         Independent of the closed multi-Catalan recursion.
         """
-        states: dict[int, int] = {0: 1}
-        for _, shift, in_range, need in self._window_steps():
-            nxt: dict[int, int] = {}
-            for key, cnt in states.items():
-                key = (key << shift) & in_range
-                nxt[key] = cnt = nxt.get(key, 0) + cnt
-                # whether g may join depends on the merged key alone, so the
-                # key with g included always carries the same count
-                if key & need == need:
-                    nxt[key | 1] = cnt
-            states = nxt
-            self._check_state_count(states, max_states)
-        return sum(states.values())
+        return self.core_size_totals(max_states)[0]
 
     def core_size_totals(self, max_states: int | None = COUNT_CAP) -> tuple[int, int]:
-        """(number, total size) of the simultaneous cores, with no ideal built.
+        """(number, total size) of the simultaneous cores, by a DP over the residues mod m.
 
-        The window DP of count_lower_ideals, carrying per key
-        (N, sum |lambda|, sum K) over its ideals: an ideal of K gaps with sum
-        S is the first-column hook set of a core of size
-        |lambda| = S - K(K-1)/2 (ideal_to_core).  Adding gap g to every ideal
-        of a key adds N g - sum K to sum |lambda| and N to sum K.
-        Exponential in max(generators) like the count, but valid for any
-        generators.
+        No ideal is built.  With m = min(generators), the gaps = r (mod m)
+        form the chain r, r + m, ..., r + (n_r - 1) m that ends just below
+        the Apery element of r (class 0 has none), and a lower ideal, closed
+        under subtracting m, meets that chain in its h_r lowest gaps,
+        0 <= h_r <= n_r.  For every other generator g,
+        r + i m - g = r' + (i - c) m with r' = (r - g) mod m and
+        c = (g - r + r') / m, which is a gap whenever i >= c (a gap minus a
+        generator is never representable), so closure under subtracting g
+        is the difference constraint h_r' >= h_r - c.  It is vacuous when r' = 0, when g is a multiple of
+        m (r' = r, c > 0) and when c >= n_r, and those are dropped.  The
+        ideals are the height vectors that meet every constraint left.
+
+        The residues are taken in the order j (g_1 mod m), j = 1 .. m-1,
+        when g_1 mod m is a unit, else 1 .. m-1; any order counts right, and
+        this one makes the constraints of a pair a path and those of a
+        consecutive run {s, ..., s+k} reach back k residues, so both are
+        polynomial.  A state is the tuple of the heights of the residues
+        already taken that a later residue still constrains, and carries
+        (N, sum |lambda|, sum K) over its partial ideals.  An ideal of K
+        gaps with sum S is the first-column hook set of a core of size
+        |lambda| = S - K(K-1)/2 (ideal_to_core), so taking the h gaps of
+        class r, of sum sigma = h r + m h(h-1)/2, adds
+        N sigma - h sum K - N h(h-1)/2 to sum |lambda| and N h to sum K, as
+        in paths._walk_size_totals.  Valid for any generators; past
+        max_states states it raises EnumerationCapError.
         """
-        states: dict[int, tuple[int, int, int]] = {0: (1, 0, 0)}
-        for g, shift, in_range, need in self._window_steps():
-            nxt: dict[int, tuple[int, int, int]] = {}
-            for key, here in states.items():
-                key = (key << shift) & in_range
-                old = nxt.get(key)
-                if old is not None:
-                    n0, size0, k0 = old
-                    n1, size1, k1 = here
-                    here = (n0 + n1, size0 + size1, k0 + k1)
-                nxt[key] = here
-            # shifted keys have bit 0 clear, so the keys with g included are new
-            included = {
-                key | 1: (cnt, size_sum + cnt * g - k_sum, k_sum + cnt)
-                for key, (cnt, size_sum, k_sum) in nxt.items() if key & need == need
-            }
-            nxt.update(included)
+        gens = self.generators
+        m = gens[0]
+        n = [0] * m
+        for a in self.gaps:
+            n[a % m] += 1
+        # slack[r][r2] = c of the tightest constraint h_r2 >= h_r - c
+        slack: list[dict[int, int]] = [{} for _ in range(m)]
+        for g in gens[1:]:
+            for r in range(1, m):
+                r2 = (r - g) % m
+                c = (g - r + r2) // m
+                if r2 and r2 != r and c < n[r]:
+                    slack[r][r2] = min(c, slack[r].get(r2, c))
+        unit = gens[1] % m if m > 1 else 1
+        order = ([j * unit % m for j in range(1, m)] if math.gcd(unit, m) == 1
+                 else list(range(1, m)))
+        step = {r: j for j, r in enumerate(order)}
+        # the last step at which a residue is constrained; its height stays
+        # in the key until then
+        last = dict(step)
+        for r in order:
+            for r2 in slack[r]:
+                j = max(step[r], step[r2])
+                last[r], last[r2] = max(last[r], j), max(last[r2], j)
+        live: list[int] = []  # the residues whose heights make up the key
+        states: dict[tuple[int, ...], tuple[int, int, int]] = {(): (1, 0, 0)}
+        for j, r in enumerate(order):
+            # h_r <= h_r2 + c for r's own constraints on residues taken
+            # before, h_r >= h_r1 - c for theirs on r; both are in the key
+            upper = [(live.index(r2), c) for r2, c in slack[r].items() if step[r2] < j]
+            lower = [(i, slack[r1][r]) for i, r1 in enumerate(live) if r in slack[r1]]
+            keep = [i for i, r1 in enumerate(live) if last[r1] > j]
+            stays = last[r] > j
+            live = [live[i] for i in keep] + [r] * stays
+            nxt: dict[tuple[int, ...], tuple[int, int, int]] = {}
+            for key, (cnt, size_sum, k_sum) in states.items():
+                lo = max([0] + [key[i] - c for i, c in lower])
+                hi = min([n[r]] + [key[i] + c for i, c in upper])
+                base = tuple(key[i] for i in keep)
+                for h in range(lo, hi + 1):
+                    half = h * (h - 1) // 2
+                    sigma = h * r + m * half
+                    here = (cnt, size_sum + cnt * sigma - h * k_sum - cnt * half, k_sum + cnt * h)
+                    new_key = base + (h,) if stays else base
+                    old = nxt.get(new_key)
+                    if old is not None:
+                        here = (old[0] + here[0], old[1] + here[1], old[2] + here[2])
+                    nxt[new_key] = here
             states = nxt
             self._check_state_count(states, max_states)
-        count, size_sum, _ = map(sum, zip(*states.values()))
+        # every height has left the key, so one state holds all the ideals
+        count, size_sum, _ = states[()]
         return count, size_sum
 
     def to_dot(self, transitive_reduce: bool = False) -> str:

@@ -472,30 +472,32 @@ def check_gf_range(max_p: int, terms: int, jobs: int = 1) -> CheckReport:
     return _run_report("closed generating function", f"p <= {max_p}, {terms} terms", instances, jobs=jobs)
 
 
-# the conjecture's lhs is cross-checked by the window DP up to this s (its
-# cost grows about x2.3 per +1) and by ideal and path enumeration up to this
-# s (x2.7)
-CONJECTURE_WINDOW_MAX_S = 16
+# the conjecture's lhs is cross-checked by the residue DP up to this s and by
+# ideal and path enumeration up to this s (x2.7 per +1).  The residue DP is
+# polynomial in s (a few ms at s = 16), so its bound is a choice of range, not
+# a limit of cost.  Its classes are taken mod s, the path DP's columns mod
+# s + 2, so the two routes stay independent.
+CONJECTURE_RESIDUE_MAX_S = 16
 CONJECTURE_ENUM_MAX_S = 12
 
 
 def check_conjecture_range(min_s: int, max_s: int, jobs: int = 1) -> CheckReport:
     """The total-size conjecture for s in [min_s, max_s], building no core past s = 12.
 
-    Each lhs comes from the path DP and is compared with the window-moment
-    DP for s <= CONJECTURE_WINDOW_MAX_S, and for s <= CONJECTURE_ENUM_MAX_S
-    with the summed sizes of the cores built from the enumerated lower
-    ideals and, independently, from the enumerated generalized paths; a
-    disagreement is the instance's failure.
+    Each lhs comes from the path DP and is compared with the residue-class
+    DP (GapPoset.core_size_totals) for s <= CONJECTURE_RESIDUE_MAX_S, and
+    for s <= CONJECTURE_ENUM_MAX_S with the summed sizes of the cores built
+    from the enumerated lower ideals and, independently, from the enumerated
+    generalized paths; a disagreement is the instance's failure.
     """
     instances = []
     for s in range(min_s, max_s + 1):
         def thunk(s=s):
             lhs, rhs = conjecture_total_size(s)
             oracles = []
-            if s <= CONJECTURE_WINDOW_MAX_S:
+            if s <= CONJECTURE_RESIDUE_MAX_S:
                 poset = consecutive_poset(s, 2)
-                oracles.append(("the window DP", poset.core_size_totals()[1]))
+                oracles.append(("the residue DP", poset.core_size_totals()[1]))
                 if s <= CONJECTURE_ENUM_MAX_S:
                     oracles.append(("ideal enumeration", sum(
                         ideal_to_core(poset, ideal).size for ideal in poset.iter_lower_ideals())))

@@ -286,8 +286,38 @@ def test_cores_count_only_max_items_caps_cores(capsys):
     assert code == 1 and out == ""
     assert "lower ideals of P_[5, 7] exceeds the cap of 65" in err
     assert run_cli(capsys, "cores", "--gens", "5,7", "--count-only", "--max-items", "66") == (0, "66\n", "")
-    # --list and --total-size do not change a plain count
-    assert run_cli(capsys, "cores", "--gens", "5,7", "--count-only", "--list", "--total-size") == (0, "66\n", "")
+    # --list does not change a plain count; --total-size adds the total size
+    assert run_cli(capsys, "cores", "--gens", "5,7", "--count-only", "--list") == (0, "66\n", "")
+    assert run_cli(capsys, "cores", "--gens", "5,7", "--count-only", "--list", "--total-size") == (
+        0, "66\ntotal size: 858\n", "")
+    # the cap applies to the count with --total-size too
+    code, out, err = run_cli(capsys, "cores", "--gens", "5,7", "--count-only", "--total-size",
+                             "--max-items", "65")
+    assert code == 1 and out == "" and "lower ideals of P_[5, 7] exceeds the cap of 65" in err
+
+
+@pytest.mark.parametrize("gens", ["5,7", "12,13,14"])
+def test_cores_count_only_total_size_matches_the_listing_without_enumerating(
+        capsys, monkeypatch, gens):
+    from simcores.posets import GapPoset
+
+    listed = run_cli(capsys, "cores", "--gens", gens, "--total-size")[1].splitlines()
+    listed_json = json.loads(run_cli(capsys, "cores", "--gens", gens, "--total-size",
+                                     "--format", "json")[1])
+    assert listed_json["total_size"] == {"5,7": "858", "12,13,14": "883883"}[gens]
+
+    def no_enumeration(self, max_items=None):
+        raise AssertionError("cores --count-only --total-size enumerated the ideals")
+
+    monkeypatch.setattr(GapPoset, "iter_lower_ideals", no_enumeration)
+    monkeypatch.setattr(GapPoset, "_walk_lower_ideals", no_enumeration)
+    code, out, err = run_cli(capsys, "cores", "--gens", gens, "--count-only", "--total-size")
+    count, total = out.splitlines()
+    assert code == 0 and err == ""
+    assert listed == [f"{count} simultaneous cores", total]
+    assert total == f"total size: {listed_json['total_size']}"
+    assert run_cli(capsys, "cores", "--gens", gens, "--count-only", "--total-size",
+                   "--format", "json") == (0, json.dumps(listed_json) + "\n", "")
 
 
 def test_count_only_max_items_caps_the_count(capsys):
@@ -304,12 +334,15 @@ def test_count_only_max_items_caps_the_count(capsys):
             1, "", f"simcores: {what} exceeds the cap of {cap}; raise the cap to proceed\n")
         code, out, err = run_cli(capsys, *argv, "--count-only", "--max-items", str(count))
         assert code == 0 and err == "" and str(count) in out
-    # the DP's state cap is not --max-items: 32 states, 66 ideals
+    # the DP's state cap is not --max-items: 5 states, 66 ideals
     assert run_cli(capsys, "ideals", "--gens", "5,7", "--count-only", "--max-items", "40") == (
         1, "", "simcores: lower ideals of P_[5, 7] exceeds the cap of 40; raise the cap to proceed\n")
-    # --list and --total-size do not change a JSON count either
-    assert run_cli(capsys, "cores", "--gens", "5,7", "--count-only", "--list", "--total-size",
+    # --list does not change a JSON count either; --total-size adds the total size
+    assert run_cli(capsys, "cores", "--gens", "5,7", "--count-only", "--list",
                    "--format", "json") == (0, '{"generators": [5, 7], "count": "66"}\n', "")
+    assert run_cli(capsys, "cores", "--gens", "5,7", "--count-only", "--list", "--total-size",
+                   "--format", "json") == (
+        0, '{"generators": [5, 7], "count": "66", "total_size": "858"}\n', "")
 
 
 def assert_usage_error(capsys, *argv, message):
@@ -373,7 +406,7 @@ def test_conjecture_strategy_mismatch_is_a_failure(capsys, monkeypatch):
     monkeypatch.setattr(verify_mod, "gd_size_totals", lambda n, k: (multi_catalan(n, k), -1))
     code, out, _ = run_cli(capsys, "verify", "conjecture", "--min-s", "5", "--max-s", "5")
     assert code == 2 and out.startswith("FAIL")
-    assert f"first counterexample: s=5: the path DP and the window DP disagree (-1 vs {lhs})" in out
+    assert f"first counterexample: s=5: the path DP and the residue DP disagree (-1 vs {lhs})" in out
 
 
 def test_conjecture_path_enumeration_mismatch_is_a_failure(capsys, monkeypatch):

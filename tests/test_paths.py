@@ -357,8 +357,8 @@ def test_rect_size_totals_give_the_armstrong_mean():
         assert 24 * size_sum == count * (s + t + 1) * (s - 1) * (t - 1), (s, t)
 
 
-def test_path_and_window_size_totals_agree():
-    for s in range(1, 17):
+def test_path_and_residue_size_totals_agree():
+    for s in range(1, 41):
         assert gd_size_totals(s, 2) == consecutive_poset(s, 2).core_size_totals(), s
 
 

@@ -302,19 +302,94 @@ def test_core_size_totals_match_enumeration_on_consecutive_runs():
             assert poset.core_size_totals() == enumerated_size_totals(poset), (s, k)
 
 
+def window_size_totals(poset):
+    # reference: the window DP the residue-class DP replaced, exponential in
+    # max(generators).  Over the gaps in increasing value, a key's bit d
+    # says whether g - d is in the ideal, for the values within
+    # max(generators) of the current gap g; each key carries (N, sum |lambda|,
+    # sum K), and adding g to every ideal of a key adds N g - sum K to
+    # sum |lambda| and N to sum K
+    in_range = (1 << (poset.generators[-1] + 1)) - 1
+    states = {0: (1, 0, 0)}
+    prev = 0
+    for g in poset.gaps:
+        need = sum(1 << (g - c) for c in poset.lower_covers(g))
+        nxt = {}
+        for key, (cnt, size_sum, k_sum) in states.items():
+            key = (key << (g - prev)) & in_range
+            n0, size0, k0 = nxt.get(key, (0, 0, 0))
+            nxt[key] = (n0 + cnt, size0 + size_sum, k0 + k_sum)
+        # shifted keys have bit 0 clear, so the keys with g included are new
+        nxt.update({
+            key | 1: (cnt, size_sum + cnt * g - k_sum, k_sum + cnt)
+            for key, (cnt, size_sum, k_sum) in nxt.items() if key & need == need
+        })
+        states = nxt
+        prev = g
+    count, size_sum, _ = map(sum, zip(*states.values()))
+    return count, size_sum
+
+
+def assert_residue_matches_window(gens):
+    poset = build_gap_poset(gens)
+    totals = poset.core_size_totals()
+    assert totals == window_size_totals(poset), gens
+    assert poset.count_lower_ideals() == totals[0], gens
+
+
+def test_residue_dp_matches_the_window_dp_on_small_generator_sets():
+    for size in (2, 3, 4):
+        for gens in itertools.combinations(range(2, 13), size):
+            if math.gcd(*gens) == 1:
+                assert_residue_matches_window(gens)
+
+
+def test_residue_dp_matches_the_window_dp_on_random_generator_sets():
+    rng = random.Random(15)
+    checked = 0
+    while checked < 60:
+        gens = tuple(sorted(rng.sample(range(2, 18), rng.randint(2, 5))))
+        if math.gcd(*gens) == 1:
+            assert_residue_matches_window(gens)
+            checked += 1
+
+
+def test_residue_dp_matches_the_window_dp_off_the_unit_order():
+    # gens[1] mod m is not a unit mod m, so the residues go in the order 1 .. m-1
+    for gens in [(6, 9, 10), (4, 6, 9), (6, 10, 15), (8, 12, 18, 27)]:
+        assert_residue_matches_window(gens)
+    # a multiple of m binds h_r >= h_r - c, which always holds
+    assert_residue_matches_window((3, 6, 7))
+    assert_residue_matches_window((4, 8, 13, 15))
+    # generator 1: no gaps, so only the empty ideal, of core size 0
+    for gens in [(1,), (1, 4, 9)]:
+        assert_residue_matches_window(gens)
+        assert build_gap_poset(gens).core_size_totals() == (1, 0)
+
+
 def test_core_size_totals_share_the_count_state_cap():
     poset = build_gap_poset((9, 11))
-    assert poset.core_size_totals(max_states=512)[0] == binomial(20, 9) // 20
+    assert poset.core_size_totals(max_states=9)[0] == binomial(20, 9) // 20
     with pytest.raises(EnumerationCapError) as err:
-        poset.core_size_totals(max_states=511)
+        poset.core_size_totals(max_states=8)
     assert str(err.value).startswith("ideal-counting state space for P_[9, 11]")
 
 
-@pytest.mark.parametrize("gens, peak", [((5, 7), 32), ((7, 9), 128), ((9, 11), 512), ((13, 17), 18432)])
-def test_count_state_cap_bounds_the_peak_state_count(gens, peak):
-    s, t = gens
+PEAK_STATES = [
+    ((5, 7), 5, binomial(12, 5) // 12),
+    ((7, 9), 7, binomial(16, 7) // 16),
+    ((9, 11), 9, binomial(20, 9) // 20),
+    ((13, 17), 15, binomial(30, 13) // 30),
+    ((29, 31), 29, binomial(60, 29) // 60),
+    ((30, 31, 32), 134, multi_catalan(30, 2)),
+]
+
+
+@pytest.mark.parametrize("gens, peak, count", PEAK_STATES,
+                         ids=["-".join(map(str, gens)) for gens, _, _ in PEAK_STATES])
+def test_count_state_cap_bounds_the_peak_state_count(gens, peak, count):
     poset = build_gap_poset(gens)
-    assert poset.count_lower_ideals(max_states=peak) == binomial(s + t, s) // (s + t)
+    assert poset.count_lower_ideals(max_states=peak) == count
     with pytest.raises(EnumerationCapError) as err:
         poset.count_lower_ideals(max_states=peak - 1)
     assert str(err.value).startswith(f"ideal-counting state space for P_{list(gens)}")
