@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import compress
 from operator import mul
 from typing import Iterable, Iterator
 
@@ -23,12 +24,14 @@ from .partitions import CoreModuli, Partition, cores_row_by_row, partition_from_
 LIST_CAP = 10**6
 COUNT_CAP = 10**7
 
+# the binary digits "0" and "1" as the bytes 0 and 1, for itertools.compress
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
 
 class GapPoset:
     """Immutable poset of the gaps of a numerical semigroup."""
 
-    __slots__ = ("generators", "gaps", "covers", "_gapset", "_gapmask", "_representable",
-                 "_lower")
+    __slots__ = ("generators", "gaps", "_gapset", "_gapmask", "_cover_tables")
 
     def __init__(self, generators: Iterable[int]):
         gens = CoreModuli(generators)
@@ -36,24 +39,23 @@ class GapPoset:
         if g > 1:
             raise InfinitePosetError(gens, g)
         self.generators = gens
-        self._representable = _sieve(gens)
-        self.gaps = tuple(
-            m for m in range(1, len(self._representable)) if not self._representable[m]
-        )
+        self._gapmask = _sieve(gens)
+        bits = format(self._gapmask, "b")[::-1]  # bits[m] is "1" exactly when m is a gap
+        self.gaps = tuple(compress(range(len(bits)), bits.encode().translate(_DIGIT_VALUES)))
         self._gapset = frozenset(self.gaps)
-        self._gapmask = sum(1 << g for g in self.gaps)
-        # lower covers of every gap, in generator order; built once and read by
-        # covers, lower_covers and both ideal algorithms
-        self._lower = {a: self._covers_below(a) for a in self.gaps}
-        self.covers = tuple((a, c) for a in self.gaps for c in self._lower[a])
+        # (lower covers of every gap in generator order, all cover pairs):
+        # built on first read by _covers_table, so a poset whose caller only
+        # asks about gaps never pays for them
+        self._cover_tables = None
 
     def is_representable(self, m: int) -> bool:
         """Whether m is a non-negative combination of the generators."""
-        if m < 0:
-            return False
-        if m < len(self._representable):
-            return self._representable[m]
-        return True  # the sieve extends past the last gap
+        return m >= 0 and m not in self._gapset
+
+    @property
+    def gap_mask(self) -> int:
+        """Bitmask of the gaps: bit m is set exactly when m is a gap."""
+        return self._gapmask
 
     @property
     def frobenius_number(self) -> int | None:
@@ -69,8 +71,24 @@ class GapPoset:
     def _covers_below(self, a: int) -> tuple[int, ...]:
         return tuple(a - s for s in self.generators if (a - s) in self._gapset)
 
+    def _covers_table(self) -> tuple[dict[int, tuple[int, ...]], tuple[tuple[int, int], ...]]:
+        tables = self._cover_tables
+        if tables is None:
+            # built into locals and published by one assignment: --jobs threads
+            # share the posets build_gap_poset caches, and a thread that
+            # builds them too only repeats the same work
+            lower = {a: self._covers_below(a) for a in self.gaps}
+            tables = (lower, tuple((a, c) for a in self.gaps for c in lower[a]))
+            self._cover_tables = tables
+        return tables
+
+    @property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Every cover pair (a, b), a covering b, by increasing a, then in generator order."""
+        return self._covers_table()[1]
+
     def lower_covers(self, a: int) -> tuple[int, ...]:
-        covers = self._lower.get(a)
+        covers = self._covers_table()[0].get(a)
         return covers if covers is not None else self._covers_below(a)
 
     def is_lower_ideal(self, subset: Iterable[int]) -> bool:
@@ -147,11 +165,12 @@ class GapPoset:
         and one larger gap pushed.
         """
         gaps = self.gaps
+        lower = self._covers_table()[0]
         index = {g: i for i, g in enumerate(gaps)}
-        need = [sum(1 << index[c] for c in self._lower[g]) for g in gaps]
+        need = [sum(1 << index[c] for c in lower[g]) for g in gaps]
         ups: list[list[int]] = [[] for _ in gaps]
         for i, g in enumerate(gaps):
-            for c in self._lower[g]:
+            for c in lower[g]:
                 ups[index[c]].append(i)
         # complement of the upper covers of each gap, as a bitmask
         not_above = [~sum(1 << u for u in us) for us in ups]
@@ -314,23 +333,35 @@ class GapPoset:
         return f"GapPoset(generators={list(self.generators)}, gaps={len(self.gaps)})"
 
 
-def _sieve(gens: CoreModuli) -> list[bool]:
-    """Representability table, extended until min(gens) consecutive hits.
+def _sieve(gens: CoreModuli) -> int:
+    """Bitmask of the gaps: bit m set exactly when m is not representable.
 
-    Once min(gens) consecutive integers are representable, every larger
-    integer is too (keep adding the smallest generator), so the table is
-    complete past its end.
+    Below a bound B, one bitmask of the representable values starts at {0}
+    and is closed under +g for each generator g in turn by doubling shifts
+    (g, 2g, 4g, ... below B), so after g it holds every x + jg below B.
+    Every bit below B is then exact.  Once min(gens) consecutive values are
+    representable, every larger value is too (keep adding the smallest
+    generator), so the mask is complete when the values above its top gap
+    and below B are at least min(gens) many; until then B doubles.  The
+    cost follows the Frobenius number, not the largest generator: a
+    generator at or past B shifts nothing in.
     """
     smallest = gens[0]
-    rep = [True]
-    run = 0
-    m = 0
-    while run < smallest:
-        m += 1
-        hit = any(m >= s and rep[m - s] for s in gens)
-        rep.append(hit)
-        run = run + 1 if hit else 0
-    return rep
+    bound = 2 * smallest
+    while True:
+        full = (1 << bound) - 1
+        rep = 1
+        for g in gens:
+            if g >= bound:
+                break  # the generators are increasing
+            shift = g
+            while shift < bound:
+                rep = (rep | rep << shift) & full
+                shift <<= 1
+        gapmask = full & ~rep
+        if bound - gapmask.bit_length() >= smallest:
+            return gapmask
+        bound *= 2
 
 
 def build_gap_poset(generators: Iterable[int]) -> GapPoset:

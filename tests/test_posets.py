@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -11,6 +12,7 @@ from simcores.exact import binomial, catalan_number
 import simcores.posets as posets_mod
 from simcores.partitions import Partition, partition_from_hooks
 from simcores.posets import (
+    GapPoset,
     build_gap_poset,
     consecutive_poset,
     core_to_ideal,
@@ -44,6 +46,98 @@ def test_gaps_match_brute_force():
         assert list(poset.gaps) == brute_gaps(gens, 200)
         for m in range(60):
             assert poset.is_representable(m) == (m not in set(brute_gaps(gens, 60)) and m >= 0)
+
+
+def reference_gap_mask(gens):
+    # per-value sieve, extended until min(gens) consecutive values are
+    # representable; bit m of the result is set when m is a gap
+    reachable = [True]
+    run = 0
+    while run < gens[0]:
+        m = len(reachable)
+        reachable.append(any(m >= g and reachable[m - g] for g in gens))
+        run = run + 1 if reachable[-1] else 0
+    return sum(1 << m for m, hit in enumerate(reachable) if not hit)
+
+
+def test_sieve_matches_a_per_value_reference_on_every_small_set():
+    sets = [gens for n in range(1, 5) for gens in itertools.combinations(range(1, 19), n)
+            if math.gcd(*gens) == 1]
+    assert len(sets) == 3733
+    for gens in sets:
+        poset = GapPoset(gens)
+        mask = reference_gap_mask(gens)
+        assert poset.gap_mask == mask, gens
+        assert poset.gaps == tuple(m for m in range(mask.bit_length()) if mask >> m & 1), gens
+        assert poset.frobenius_number == (mask.bit_length() - 1 if mask else None), gens
+
+
+def test_sieve_cost_follows_the_frobenius_number_not_the_largest_generator():
+    # a sieve bounded by the largest generator would scan past 5_000_000 and
+    # 10**9; these bounds are generous against a build of a few ms and 0.1 s
+    start = time.perf_counter()
+    poset = GapPoset((2, 3, 5_000_000))
+    assert time.perf_counter() - start < 1.0
+    assert poset.gaps == (1,) and poset.is_representable(4_999_999)
+    start = time.perf_counter()
+    poset = GapPoset((1000, 1001, 10**9))
+    assert time.perf_counter() - start < 5.0
+    # 10**9 lies past the Frobenius number of (1000, 1001), so it adds nothing
+    assert poset.frobenius_number == 1000 * 1001 - 1000 - 1001
+    assert len(poset.gaps) == 999 * 1000 // 2
+    assert not poset.is_representable(998_999) and poset.is_representable(999_000)
+
+
+def cover_views(poset):
+    values = range(-1, (poset.frobenius_number or 0) + 3)
+    return (poset.covers, [poset.lower_covers(a) for a in values], poset.to_dot(),
+            poset.to_dot(transitive_reduce=True), poset.to_json_dict())
+
+
+def test_covers_read_the_same_before_and_after_a_walk():
+    for gens in [(5, 7, 13), (4, 5, 9), (3, 5), (6, 7, 8, 9, 10, 11), (1, 4)]:
+        read_first = GapPoset(gens)
+        before = cover_views(read_first)
+        ideals = list(read_first.iter_lower_ideals())
+        assert cover_views(read_first) == before, gens
+        walked_first = GapPoset(gens)
+        assert list(walked_first.iter_lower_ideals()) == ideals, gens
+        assert cover_views(walked_first) == before, gens
+    assert GapPoset((5, 7, 13)).covers == (
+        (6, 1), (8, 3), (8, 1), (9, 4), (9, 2), (11, 6), (11, 4), (16, 11), (16, 9), (16, 3))
+
+
+def test_a_poset_answers_gap_questions_without_building_its_covers():
+    for gens in [(5, 7, 13), (5, 7), (4, 5, 6), (1,)]:
+        poset = GapPoset(gens)
+        gaps = brute_gaps(gens, 200)
+        assert list(poset.gaps) == gaps
+        assert poset.frobenius_number == (gaps[-1] if gaps else None)
+        assert [m for m in range(-3, 201) if not poset.is_representable(m)] == [-3, -2, -1] + gaps
+        assert poset._cover_tables is None, gens
+
+
+def test_covers_built_on_first_read_are_safe_across_threads():
+    gens_list = [(5, 7, 13), (7, 9), (6, 7, 8), (4, 9, 11)] * 8
+    expected = {gens: cover_views(GapPoset(gens)) for gens in set(gens_list)}
+    # fresh, shared posets whose covers every thread races to build first
+    shared = {gens: GapPoset(gens) for gens in expected}
+
+    def read(gens):
+        poset = shared[gens]
+        walked = sum(1 for _ in poset.iter_lower_ideals())
+        return walked, cover_views(poset)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(read, gens_list, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for gens, (walked, views) in zip(gens_list, got):
+        assert views == expected[gens], gens
+        assert walked == GapPoset(gens).count_lower_ideals(), gens
 
 
 def test_infinite_poset_rejected():

@@ -25,8 +25,10 @@ from simcores.verify import (
     gf_coefficients,
     kreweras_count,
     motzkin_identity_check,
+    motzkin_sum,
     popoviciu,
     qdet_coarea,
+    representation_counts,
     subpartition_size_polynomial,
     sylvester_check,
     symmetry_check,
@@ -87,6 +89,14 @@ def test_popoviciu_matches_brute_force():
                 assert popoviciu(s, t, m) == count_representations(s, t, m), (s, t, m)
 
 
+def test_representation_table_matches_the_scalar_oracle():
+    for s in range(1, 13):
+        for t in range(s + 1, 13):
+            if math.gcd(s, t) == 1:
+                table = representation_counts(s, t, s * t)
+                assert table == [count_representations(s, t, m) for m in range(s * t + 1)], (s, t)
+
+
 def test_frobenius_and_sylvester():
     assert frobenius_pair(5, 7) == 23
     assert frobenius_pair(2, 3) == 1
@@ -115,6 +125,35 @@ def test_symmetry_check():
         symmetry_check(1)
 
 
+def per_value_symmetry_failures(s, poset):
+    # the rectangle's cells one by one, i outer and j inner
+    total, failures = 0, []
+    for i in range(1, s + 2):
+        for j in range(1, s):
+            v1 = (s + 1) * (j - 1) + i
+            v2 = (s + 1) * (s - 1 - j) + i
+            gap1, gap2 = not poset.is_representable(v1), not poset.is_representable(v2)
+            total += 1
+            if gap1 == gap2:
+                failures.append(f"s={s} i={i} j={j}: {v1} gap={gap1} but {v2} gap={gap2}")
+    return total, failures
+
+
+def test_symmetry_failures_match_the_per_value_loop(monkeypatch):
+    for s in (3, 5, 7, 9, 13):
+        for other in ((s, s + 1), (s, s + 4), (s + 2, s + 4)):
+            poset = build_gap_poset(other)
+            monkeypatch.setattr(verify, "build_gap_poset", lambda gens, poset=poset: poset)
+            report = symmetry_check(s)
+            total, failures = per_value_symmetry_failures(s, poset)
+            assert failures, (s, other)
+            assert (report.total, report.failures) == (total, failures), (s, other)
+    monkeypatch.undo()
+    for s in (3, 11, 61):
+        assert (symmetry_check(s).total, []) == per_value_symmetry_failures(
+            s, build_gap_poset((s, s + 2)))
+
+
 def test_symmetry_reflection_is_involution():
     s = 7
     for i in range(1, s + 2):
@@ -131,6 +170,15 @@ def test_motzkin_identity():
     assert multi_catalan(4, 2) == 9 == 1 + 6 * 1 + 1 * 2
     for s in range(11):
         assert motzkin_identity_check(s)
+    with pytest.raises(ValueError):
+        motzkin_identity_check(-1)
+
+
+def test_carried_motzkin_terms_match_the_binomial_sum():
+    for s in range(401):
+        expected = sum(math.comb(s, 2 * k) * (math.comb(2 * k, k) // (k + 1))
+                       for k in range(s // 2 + 1))
+        assert motzkin_sum(s) == expected, s
 
 
 def test_gf_coefficients():
