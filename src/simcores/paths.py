@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, reduce
-from itertools import chain
+from itertools import chain, islice
 from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -140,23 +140,33 @@ def diagonal_partition(s: int, t: int) -> Partition:
 
 
 def enumerate_rect_paths(s: int, t: int, max_items: int | None = LIST_CAP) -> Iterator[RectPath]:
-    """All (s, t) paths, N-step first at every branch (deterministic order)."""
+    """All (s, t) paths, N-step first at every branch (deterministic order).
+
+    Past the cap, the error comes before the first path: count_rect_paths
+    is compared with it before the walk.
+    """
     _require_coprime(s, t)
-    for steps in _lattice_walks(RectPath.moves, (t, s), max_items, f"({s},{t}) rectangle paths"):
+    what = f"({s},{t}) rectangle paths"
+    if max_items is not None and count_rect_paths(s, t) > max_items:
+        raise EnumerationCapError(what, max_items)
+    for steps in _lattice_walks(RectPath.moves, (t, s), max_items, what):
         yield RectPath._from_walk(s, t, steps)
 
 
 def _lattice_walks(moves: Mapping[str, tuple[int, int]], target: tuple[int, int],
                    max_items: int | None, what: str,
-                   labels: Sequence[Sequence[int]] | None = None) -> Iterator[list[str] | int]:
+                   labels: Sequence[Sequence[int]] | None = None
+                   ) -> Iterator[tuple[str, ...] | int]:
     """Step names of every walk from (0,0) to target that stays weakly above the
-    segment joining them and never rises above target's height.
+    segment joining them and never rises above target's height, as a tuple.
 
-    Depth first, trying `moves` (name -> (dx, dy)) in their order at each
-    point, as one loop over an explicit stack of (x, y, next move, label
-    mask) frames, so path length is not limited by recursion depth.  The
-    yielded list is reused: callers copy it before resuming.  Raises
-    EnumerationCapError (naming `what`) on reaching walk max_items + 1.
+    Depth-first order, trying `moves` (name -> (dx, dy)) in their order at
+    each point.  The points near the target keep their walks to it as lists
+    (_walk_tails); an explicit stack of (x, y, next move, label mask) frames
+    walks only the points farther out, so path length is not limited by
+    recursion depth, and hands out the list of each point it steps to with
+    one map of the walk so far over it.  Raises EnumerationCapError (naming
+    `what`) on reaching walk max_items + 1, after yielding max_items walks.
 
     With `labels`, a table whose entry [x][h] is the bitmask of column x's
     labels strictly below height h, each walk yields its label set as one
@@ -165,33 +175,115 @@ def _lattice_walks(moves: Mapping[str, tuple[int, int]], target: tuple[int, int]
     columns x .. x+dx-1 below y+dy, so each frame carries the OR of the
     label masks taken on the way to it.
     """
-    tx, ty = target
-    moves = [(name, dx, dy, _step_gains(labels, dx, tx) if labels is not None else None)
-             for name, (dx, dy) in moves.items()]
-    n_moves = len(moves)
-    steps: list[str] = []
-    stack = [(0, 0, 0, 0)]
     count = 0
+    for size, batch in _walk_batches(moves, target, labels):
+        if max_items is not None and count + size > max_items:
+            yield from islice(batch, max(max_items - count, 0))
+            raise EnumerationCapError(what, max_items)
+        count += size
+        yield from batch
+
+
+# a lattice point with at most this many walks to the target keeps them in
+# one list, and the kept lists hold at most _TAIL_STEPS steps between them
+# (each walk counted at the longest length from its point), so their memory
+# is bounded however high the cap
+_TAIL_ITEMS = 256
+_TAIL_STEPS = 1 << 18
+
+
+def _walk_steps(moves: Mapping[str, tuple[int, int]], tx: int,
+                labels: Sequence[Sequence[int]] | None) -> list[tuple]:
+    """(name, dx, dy, gain) per move, gain from _step_gains with labels, else None."""
+    return [(name, dx, dy, _step_gains(labels, dx, tx) if labels is not None else None)
+            for name, (dx, dy) in moves.items()]
+
+
+def _walk_tails(steps: list[tuple], target: tuple[int, int], masks: bool) -> dict[int, list]:
+    """tails[y * (tx+1) + x]: every walk from (x, y) to target in walk order,
+    as step tuples (label masks if `masks`), for the points near the target
+    with at most _TAIL_ITEMS of them; `steps` comes from _walk_steps.
+
+    Built back from the target in reverse row-major order, which puts every
+    point after the points its steps reach.  A point's list joins, move by
+    move, the step's name (or the labels it takes) to each walk of the point
+    it reaches, so no separate count is needed; a point that reaches a point
+    without a list, or whose list would pass either bound, gets none.  With
+    a step (0, d), d rows without a list leave none to any row below: each
+    point there steps to a point d rows up.
+    """
+    tx, ty = target
+    width = tx + 1
+    tails = {width * (ty + 1) - 1: [0 if masks else ()]}
+    budget = _TAIL_STEPS
+    rises = [dy for _, dx, dy, _ in steps if not dx]
+    rows_without = 0
+    for y in range(ty, -1, -1):
+        if rises and rows_without >= min(rises):
+            break
+        rows_without += 1
+        for x in range(tx * y // ty - (y == ty), -1, -1):  # the target is done
+            joins = []
+            total = 0
+            for name, dx, dy, gain in steps:
+                nx, ny = x + dx, y + dy
+                if ny > ty or tx * ny < ty * nx:
+                    continue
+                tail = tails.get(ny * width + nx)
+                if tail is None:
+                    break
+                if tail:
+                    joins.append((gain[x][ny] if gain else 0, tail) if masks else ((name,), tail))
+                    total += len(tail)
+            else:
+                # a walk from (x, y) takes at most tx - x + ty - y steps
+                cost = total * (tx - x + ty - y)
+                if total <= _TAIL_ITEMS and cost <= budget:
+                    budget -= cost
+                    rows_without = 0
+                    if masks:
+                        tails[y * width + x] = [head | walk for head, tail in joins for walk in tail]
+                    else:
+                        tails[y * width + x] = [head + walk for head, tail in joins for walk in tail]
+    return tails
+
+
+def _walk_batches(moves: Mapping[str, tuple[int, int]], target: tuple[int, int],
+                  labels: Sequence[Sequence[int]] | None) -> Iterator[tuple[int, Iterable]]:
+    """_lattice_walks' walks as consecutive (size, items) batches: the kept
+    list of each point the depth-first walk steps to, mapped onto the walk
+    that reached it."""
+    tx, ty = target
+    width = tx + 1
+    steps = _walk_steps(moves, tx, labels)
+    tails = _walk_tails(steps, target, labels is not None)
+    if 0 in tails:
+        yield len(tails[0]), tails[0]
+        return
+    n_moves = len(steps)
+    path: list[str] = []
+    stack = [(0, 0, 0, 0)]
     while stack:
         x, y, m, taken = stack.pop()
-        if x == tx and y == ty:
-            count += 1
-            if max_items is not None and count > max_items:
-                raise EnumerationCapError(what, max_items)
-            yield steps if labels is None else taken
-            m = n_moves  # nothing is admissible from the target
         while m < n_moves:
-            name, dx, dy, gain = moves[m]
+            name, dx, dy, gain = steps[m]
             m += 1
             nx, ny = x + dx, y + dy
-            if ny <= ty and tx * ny >= ty * nx:
+            if ny > ty or tx * ny < ty * nx:
+                continue
+            reached = taken | gain[x][ny] if gain else taken
+            tail = tails.get(ny * width + nx)
+            if tail is None:
                 stack.append((x, y, m, taken))
-                stack.append((nx, ny, 0, taken | gain[x][ny] if gain else taken))
-                steps.append(name)
+                stack.append((nx, ny, 0, reached))
+                path.append(name)
                 break
+            if tail:
+                join = (*path, name).__add__ if labels is None else reached.__or__
+                yield len(tail), map(join, tail)
         else:
             if stack:  # every frame but the first was entered by a step
-                steps.pop()
+                path.pop()
 
 
 def _step_gains(labels: Sequence[Sequence[int]], dx: int, tx: int) -> list[list[int]] | None:
@@ -261,9 +353,16 @@ def count_gd(n: int, k: int) -> int:
 
 
 def enumerate_gd(n: int, k: int, max_items: int | None = LIST_CAP) -> Iterator[GeneralizedDyckPath]:
-    """All generalized (n,k) paths; step order Nk, Ek, D1..D(k-1) at each branch."""
+    """All generalized (n,k) paths; step order Nk, Ek, D1..D(k-1) at each branch.
+
+    Past the cap, the error comes before the first path: count_gd is
+    compared with it before the walk.
+    """
     _require_nk(n, k)
-    for steps in _lattice_walks(_gd_moves(k), (n, n), max_items, f"generalized ({n},{k}) paths"):
+    what = f"generalized ({n},{k}) paths"
+    if max_items is not None and count_gd(n, k) > max_items:
+        raise EnumerationCapError(what, max_items)
+    for steps in _lattice_walks(_gd_moves(k), (n, n), max_items, what):
         yield GeneralizedDyckPath._from_walk(n, k, steps)
 
 
@@ -273,11 +372,14 @@ def gd_label_masks(n: int, k: int, max_items: int | None = LIST_CAP) -> Iterator
     Bit l is set for each label l that gd_to_ideal collects from the path,
     but no path object is built and the set is not checked to be a lower
     ideal (GapPoset.is_lower_ideal_mask checks it).  Shares enumerate_gd's
-    walk, cap and cap message.
+    walk, cap and cap message; past the cap, the error comes on the call,
+    before the label table is built.
     """
     _require_nk(n, k)
-    return _lattice_walks(_gd_moves(k), (n, n), max_items, f"generalized ({n},{k}) paths",
-                          _gd_label_table(n, k))
+    what = f"generalized ({n},{k}) paths"
+    if max_items is not None and multi_catalan(n, k) > max_items:
+        raise EnumerationCapError(what, max_items)
+    return _lattice_walks(_gd_moves(k), (n, n), max_items, what, _gd_label_table(n, k))
 
 
 def _gd_label_table(n: int, k: int) -> list[list[int]]:

@@ -34,11 +34,7 @@ class GapPoset:
     __slots__ = ("generators", "gaps", "_gapset", "_gapmask", "_cover_tables")
 
     def __init__(self, generators: Iterable[int]):
-        gens = CoreModuli(generators)
-        g = math.gcd(*gens)
-        if g > 1:
-            raise InfinitePosetError(gens, g)
-        self.generators = gens
+        self.generators = gens = _finite_moduli(generators)
         self._gapmask = _sieve(gens)
         bits = format(self._gapmask, "b")[::-1]  # bits[m] is "1" exactly when m is a gap
         self.gaps = tuple(compress(range(len(bits)), bits.encode().translate(_DIGIT_VALUES)))
@@ -331,6 +327,19 @@ class GapPoset:
 
     def __repr__(self) -> str:
         return f"GapPoset(generators={list(self.generators)}, gaps={len(self.gaps)})"
+
+
+def _finite_moduli(generators: Iterable[int]) -> CoreModuli:
+    gens = CoreModuli(generators)
+    g = math.gcd(*gens)
+    if g > 1:
+        raise InfinitePosetError(gens, g)
+    return gens
+
+
+def semigroup_gap_mask(generators: Iterable[int]) -> int:
+    """GapPoset(generators).gap_mask, with no poset built and none cached."""
+    return _sieve(_finite_moduli(generators))
 
 
 def _sieve(gens: CoreModuli) -> int:

@@ -8,8 +8,9 @@ for the parameter ranges they actually ran.
 from __future__ import annotations
 
 import math
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from operator import mul
 from typing import Callable, Iterable
 
@@ -24,7 +25,14 @@ from .paths import (
     gd_to_ideal,
     rect_size_totals,
 )
-from .posets import GapPoset, build_gap_poset, consecutive_poset, ideal_to_core, multi_catalan
+from .posets import (
+    GapPoset,
+    build_gap_poset,
+    consecutive_poset,
+    ideal_to_core,
+    multi_catalan,
+    semigroup_gap_mask,
+)
 from .qpoly import QPolynomial, q_binomial
 from .series import integer_sqrt_coefficients
 
@@ -170,18 +178,30 @@ def popoviciu(s: int, t: int, m: int) -> int:
     this is (m - t (t^{-1}m mod s) - s (s^{-1}m mod t)) / (st) + 1, computed
     in integers with a checked exact division.
     """
+    count = _popoviciu_counter(s, t)
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
+    return count(m)
+
+
+def _popoviciu_counter(s: int, t: int) -> Callable[[int], int]:
+    """popoviciu(s, t, m) as a function of m >= 0, with gcd(s, t) and both
+    modular inverses computed once for the pair."""
     if s < 1 or t < 1:
         raise ValueError(f"generators must be >= 1, got ({s}, {t})")
     g = math.gcd(s, t)
     if g != 1:
         raise NonCoprimeError(s, t, g)
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    numerator = m - t * (pow(t, -1, s) * m % s) - s * (pow(s, -1, t) * m % t)
-    value, rem = divmod(numerator, s * t)
-    if rem:
-        raise InvariantError(f"representation count came out non-integral: {numerator}/{s * t}")
-    return value + 1
+    t_inv, s_inv, st = pow(t, -1, s), pow(s, -1, t), s * t
+
+    def count(m: int) -> int:
+        numerator = m - t * (t_inv * m % s) - s * (s_inv * m % t)
+        value, rem = divmod(numerator, st)
+        if rem:
+            raise InvariantError(f"representation count came out non-integral: {numerator}/{st}")
+        return value + 1
+
+    return count
 
 
 def count_representations(s: int, t: int, m: int) -> int:
@@ -240,11 +260,11 @@ def symmetry_check(s: int) -> CheckReport:
         raise ValueError(f"s must be odd (the {{s, s+2}} gap set is infinite for even s), got {s}")
     if s < 3:
         raise ValueError(f"need s >= 3, got {s}")
-    poset = build_gap_poset((s, s + 2))
+    # the mask alone: a poset would be cached, and a run builds each s once
+    gaps = semigroup_gap_mask((s, s + 2))
     start = time.perf_counter()
     width = s + 1
     full = (1 << width) - 1
-    gaps = poset.gap_mask
     # bit i - 1 of rows[j] is set when (s+1)(j-1)+i is a gap; rows[0] is unused
     rows = [0] + [gaps >> (width * (j - 1) + 1) & full for j in range(1, s)]
     # bit i - 1 of same[j] is set when (i, j) fails
@@ -393,8 +413,43 @@ def _ideals_and_cores(poset: GapPoset) -> tuple[int, int, bool]:
     return n_ideals, size_sum, all_cores and len(core_parts) == n_ideals
 
 
-def _check_pair(s: int, t: int) -> tuple[bool, str]:
-    n_ideals, core_sizes, cores_ok = _ideals_and_cores(build_gap_poset((s, t)))
+# _ideals_and_cores, or the same function shared across one suite's instances
+_IdealsAndCores = Callable[[GapPoset], tuple[int, int, bool]]
+
+
+def _shared_ideals_and_cores() -> _IdealsAndCores:
+    """_ideals_and_cores, run once per generator set for every caller.
+
+    Pair (n, n+1) and consecutive run (n, 1) are the same poset.  A --jobs
+    thread that asks for a poset another thread is walking waits for that
+    walk's result (or its exception) instead of walking it again.
+    """
+    results: dict[tuple[int, ...], Future] = {}
+    lock = threading.Lock()
+
+    def ideals_and_cores(poset: GapPoset) -> tuple[int, int, bool]:
+        with lock:
+            result = results.get(poset.generators)
+            walk = result is None
+            if walk:
+                result = results[poset.generators] = Future()
+        if walk:
+            try:
+                result.set_result(_ideals_and_cores(poset))
+            except BaseException as exc:
+                result.set_exception(exc)
+                raise
+        return result.result()
+
+    return ideals_and_cores
+
+
+def _check_pair(s: int, t: int,
+                ideals_and_cores: _IdealsAndCores | None = None) -> tuple[bool, str]:
+    """Ideals = paths = count_rect_paths(s, t), and the cores' total size
+    matches the path DP's; `ideals_and_cores` defaults to _ideals_and_cores."""
+    poset = build_gap_poset((s, t))
+    n_ideals, core_sizes, cores_ok = (ideals_and_cores or _ideals_and_cores)(poset)
     n_paths, path_sizes = rect_size_totals(s, t)
     formula = count_rect_paths(s, t)
     ok = n_ideals == n_paths == formula and path_sizes == core_sizes and cores_ok
@@ -403,9 +458,10 @@ def _check_pair(s: int, t: int) -> tuple[bool, str]:
     return ok, detail if not ok else ""
 
 
-def _check_consecutive(n: int, k: int) -> tuple[bool, str]:
+def _check_consecutive(n: int, k: int,
+                       ideals_and_cores: _IdealsAndCores | None = None) -> tuple[bool, str]:
     """Paths = ideals = multi_catalan(n, k), with gd_to_ideal's map checked
-    path by path on label bitmasks.
+    path by path on label bitmasks; `ideals_and_cores` as in _check_pair.
 
     Each path's image is a lower ideal, the images are distinct, and there
     are as many as the walk yields ideals, so they are all of the ideals.
@@ -414,7 +470,7 @@ def _check_consecutive(n: int, k: int) -> tuple[bool, str]:
     masks = list(gd_label_masks(n, k))
     n_paths = len(masks)
     images = set(masks)
-    n_ideals, _, cores_ok = _ideals_and_cores(poset)
+    n_ideals, _, cores_ok = (ideals_and_cores or _ideals_and_cores)(poset)
     bijection = (all(map(poset.is_lower_ideal_mask, images))
                  and len(images) == n_paths == n_ideals)
     ok = n_paths == n_ideals == multi_catalan(n, k) and bijection and cores_ok
@@ -427,13 +483,16 @@ def _check_consecutive(n: int, k: int) -> tuple[bool, str]:
 
 def equinumerosity_suite(max_pair_sum: int, max_n: int, max_k: int,
                          jobs: int = 1) -> CheckReport:
-    """Cores = paths = ideals, for coprime pairs and consecutive runs."""
+    """Cores = paths = ideals, for coprime pairs and consecutive runs, each
+    distinct poset's ideals and cores walked once."""
+    shared = _shared_ideals_and_cores()
     instances: list[tuple[str, Callable[[], tuple[bool, str]]]] = []
     for s, t in _coprime_pairs(max_pair_sum):
-        instances.append((f"pair ({s},{t})", lambda s=s, t=t: _check_pair(s, t)))
+        instances.append((f"pair ({s},{t})", lambda s=s, t=t: _check_pair(s, t, shared)))
     for n in range(1, max_n + 1):
         for k in range(1, max_k + 1):
-            instances.append((f"consecutive ({n},{k})", lambda n=n, k=k: _check_consecutive(n, k)))
+            instances.append((f"consecutive ({n},{k})",
+                              lambda n=n, k=k: _check_consecutive(n, k, shared)))
     return _run_report(
         "equinumerosity",
         f"pairs with s+t <= {max_pair_sum}; consecutive n <= {max_n}, k <= {max_k}",
@@ -463,8 +522,9 @@ def check_popoviciu_range(max_t: int, jobs: int = 1) -> CheckReport:
                 continue
 
             def thunk(s=s, t=t):
+                count = _popoviciu_counter(s, t)
                 for m, brute in enumerate(representation_counts(s, t, s * t)):
-                    formula = popoviciu(s, t, m)
+                    formula = count(m)
                     if formula != brute:
                         return False, f"m={m}: formula {formula} vs brute force {brute}"
                 if s >= 2 and frobenius_pair(s, t) != s * t - s - t:

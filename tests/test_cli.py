@@ -345,6 +345,33 @@ def test_count_only_max_items_caps_the_count(capsys):
         0, '{"generators": [5, 7], "count": "66", "total_size": "858"}\n', "")
 
 
+def test_a_path_listing_past_the_cap_fails_before_any_walk(capsys, monkeypatch):
+    from simcores import paths as paths_mod
+
+    for argv, count, what in (
+            (("paths", "gd", "--n", "6", "--k", "2"), multi_catalan(6, 2), "generalized (6,2) paths"),
+            (("paths", "rect", "--s", "5", "--t", "7"), 66, "(5,7) rectangle paths")):
+        listed = run_cli(capsys, *argv, "--list", "--max-items", str(count))
+        assert listed[0] == 0 and listed[1].startswith(f"{count} paths\n")
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("a listing past the cap walked its paths")
+
+        monkeypatch.setattr(paths_mod, "_lattice_walks", no_walk)
+        cap = str(count - 1)
+        for extra in ((), ("--format", "json"), ("--svg", "unused.svg")):
+            assert run_cli(capsys, *argv, "--list", "--max-items", cap, *extra) == (
+                1, "", f"simcores: {what} exceeds the cap of {cap}; raise the cap to proceed\n")
+        monkeypatch.undo()
+    monkeypatch.setattr(paths_mod, "_lattice_walks", no_walk)
+    assert run_cli(capsys, "paths", "gd", "--n", "200", "--k", "3", "--list") == (
+        1, "", "simcores: generalized (200,3) paths exceeds the cap of 1000000; "
+               "raise the cap to proceed\n")
+    assert run_cli(capsys, "paths", "rect", "--s", "13", "--t", "17", "--list") == (
+        1, "", "simcores: (13,17) rectangle paths exceeds the cap of 1000000; "
+               "raise the cap to proceed\n")
+
+
 def assert_usage_error(capsys, *argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""

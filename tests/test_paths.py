@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import re
 from collections import Counter
@@ -9,12 +10,18 @@ import pytest
 from simcores.errors import EnumerationCapError, NonCoprimeError
 from simcores.exact import catalan_number
 from simcores.partitions import Partition, subpartitions
+import simcores.paths as paths_mod
 from simcores.paths import (
     GeneralizedDyckPath,
     RectPath,
+    _gd_label_table,
+    _gd_moves,
     _labels_below,
     _lattice_walks,
     _rect_labels_below,
+    _step_gains,
+    _walk_steps,
+    _walk_tails,
     count_gd,
     count_rect_paths,
     diagonal_cell_labels,
@@ -60,6 +67,11 @@ def test_enumerate_rect_paths_counts():
     with pytest.raises(EnumerationCapError) as err:
         list(enumerate_rect_paths(5, 7, max_items=10))
     assert str(err.value).startswith("(5,7) rectangle paths exceeds the cap of 10")
+    # the count is compared with the cap before the first path
+    for cap in (10, 65, -1):
+        with pytest.raises(EnumerationCapError) as early:
+            next(enumerate_rect_paths(5, 7, max_items=cap))
+        assert str(early.value).startswith(f"(5,7) rectangle paths exceeds the cap of {cap};")
     assert len(list(enumerate_rect_paths(5, 7, max_items=66))) == 66
 
 
@@ -92,7 +104,7 @@ def test_path_enumeration_order_matches_recursive_reference():
 
 def test_long_generalized_paths_have_no_depth_limit():
     # 2400 steps: deeper than the interpreter's recursion limit
-    first = next(enumerate_gd(1200, 1))
+    first = next(enumerate_gd(1200, 1, max_items=None))
     assert first.steps == ("N1",) * 1200 + ("E1",) * 1200
 
 
@@ -172,6 +184,17 @@ def test_enumerate_gd():
     with pytest.raises(EnumerationCapError) as err:
         list(enumerate_gd(6, 1, max_items=3))
     assert str(err.value).startswith("generalized (6,1) paths exceeds the cap of 3")
+    # the count is compared with the cap before the first path, and so is the
+    # label masks' count before their table is built
+    assert len(list(enumerate_gd(6, 1, max_items=132))) == 132
+    for cap in (3, 131, -1):
+        with pytest.raises(EnumerationCapError) as early:
+            next(enumerate_gd(6, 1, max_items=cap))
+        message = f"generalized (6,1) paths exceeds the cap of {cap}; raise the cap to proceed"
+        assert str(early.value) == message
+        with pytest.raises(EnumerationCapError) as early:
+            gd_label_masks(6, 1, max_items=cap)
+        assert str(early.value) == message
 
 
 def test_gd_validation():
@@ -329,6 +352,96 @@ def test_walk_label_masks_of_rectangle_paths_are_the_ideals():
         ideals = {sum(1 << g for g in ideal) for ideal in poset.iter_lower_ideals()}
         assert len(masks) == count_rect_paths(s, t), (s, t)
         assert set(masks) == ideals and len(ideals) == len(masks), (s, t)
+
+
+def depth_first_walks(moves, target, labels=None, start=(0, 0)):
+    # reference: the node-by-node depth-first walk the tail lists replaced,
+    # one explicit stack frame (x, y, next move, label mask) per point; from
+    # `start`, it yields the walks on from there, in the same region
+    tx, ty = target
+    moves = [(name, dx, dy, _step_gains(labels, dx, tx) if labels is not None else None)
+             for name, (dx, dy) in moves.items()]
+    steps, stack = [], [(*start, 0, 0)]
+    while stack:
+        x, y, m, taken = stack.pop()
+        if x == tx and y == ty:
+            yield tuple(steps) if labels is None else taken
+            m = len(moves)
+        while m < len(moves):
+            name, dx, dy, gain = moves[m]
+            m += 1
+            nx, ny = x + dx, y + dy
+            if ny <= ty and tx * ny >= ty * nx:
+                stack.append((x, y, m, taken))
+                stack.append((nx, ny, 0, taken | gain[x][ny] if gain else taken))
+                steps.append(name)
+                break
+        else:
+            if stack:
+                steps.pop()
+
+
+def rect_label_table(s, t):
+    return [[sum(1 << a for a in _rect_labels_below(s, t, x, h)) for h in range(s + 1)]
+            for x in range(t)]
+
+
+def walk_families(max_n, max_k, max_sum):
+    # (moves, target, label table) of every generalized (n, k) path family and
+    # every coprime rectangle with s + t <= max_sum
+    for n in range(1, max_n + 1):
+        for k in range(1, max_k + 1):
+            yield _gd_moves(k), (n, n), _gd_label_table(n, k)
+    for s, t in [(s, t) for s in range(1, max_sum) for t in range(1, max_sum + 1 - s)
+                 if math.gcd(s, t) == 1]:
+        yield RectPath.moves, (t, s), rect_label_table(s, t)
+
+
+@pytest.mark.parametrize("tail_items, tail_steps", [(256, 1 << 18), (3, 1 << 18), (1, 40)])
+def test_tail_walk_matches_the_depth_first_walk(monkeypatch, tail_items, tail_steps):
+    # the kept lists as the walk keeps them, with few points kept, and with the
+    # step budget spent after a handful of points
+    monkeypatch.setattr(paths_mod, "_TAIL_ITEMS", tail_items)
+    monkeypatch.setattr(paths_mod, "_TAIL_STEPS", tail_steps)
+    for moves, target, labels in walk_families(10, 4, 18):
+        for table in (None, labels):
+            got = list(_lattice_walks(moves, target, None, "walks", table))
+            assert got == list(depth_first_walks(moves, target, table)), (target, moves, table)
+
+
+def test_tail_walk_raises_the_cap_at_the_same_item(monkeypatch):
+    monkeypatch.setattr(paths_mod, "_TAIL_ITEMS", 4)
+    for moves, target, labels in [(_gd_moves(2), (7, 7), _gd_label_table(7, 2)),
+                                  (_gd_moves(3), (8, 8), _gd_label_table(8, 3)),
+                                  (RectPath.moves, (7, 5), rect_label_table(5, 7))]:
+        for table in (None, labels):
+            want = list(depth_first_walks(moves, target, table))
+            total = len(want)
+            for cap in sorted({-1, 0, 1, 2, 3, 5, total // 2, total - 1}):
+                walks = _lattice_walks(moves, target, cap, "these walks", table)
+                assert list(itertools.islice(walks, max(cap, 0))) == want[:max(cap, 0)], (
+                    target, cap)
+                with pytest.raises(EnumerationCapError) as err:
+                    next(walks)
+                assert str(err.value) == (
+                    f"these walks exceeds the cap of {cap}; raise the cap to proceed")
+            assert list(_lattice_walks(moves, target, total, "these walks", table)) == want
+
+
+def test_kept_tails_are_bounded_and_are_each_points_walks():
+    steps = _walk_steps(_gd_moves(3), 200, None)
+    tails = _walk_tails(steps, (200, 200), False)
+    points = 201 * 202 // 2
+    assert 0 < len(tails) < points and 0 not in tails
+    assert all(len(kept) <= paths_mod._TAIL_ITEMS for kept in tails.values())
+    assert sum(map(len, tails.values())) <= paths_mod._TAIL_ITEMS * points
+    assert sum(len(walk) for kept in tails.values() for walk in kept) <= paths_mod._TAIL_STEPS
+    # every kept list holds exactly the walks from its own point, in walk order
+    # (the reference walk is slow from a point that reaches no target: it
+    # tries every dead end, so only points with walks are compared)
+    for at in sorted(at for at, kept in tails.items() if kept)[::23]:
+        y, x = divmod(at, 201)
+        assert tails[at] == list(depth_first_walks(_gd_moves(3), (200, 200), start=(x, y))), at
 
 
 def coprime_pairs(max_sum):

@@ -1,12 +1,15 @@
 import inspect
 import json
 import math
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from simcores import paths, posets, verify
 from simcores.exact import binomial, catalan_number
-from simcores.errors import NonCoprimeError
+from simcores.errors import InvariantError, NonCoprimeError
 from simcores.partitions import Partition, partitions_in_box
 from simcores.paths import diagonal_partition
 from simcores.posets import GapPoset, build_gap_poset, consecutive_poset, multi_catalan
@@ -78,6 +81,25 @@ def test_popoviciu_examples():
         popoviciu(4, 6, 10)
     with pytest.raises(ValueError):
         popoviciu(5, 7, -1)
+    # the generators are checked before m
+    with pytest.raises(ValueError, match="generators must be >= 1"):
+        popoviciu(0, 7, -1)
+    with pytest.raises(NonCoprimeError):
+        popoviciu(4, 6, -1)
+
+
+def test_popoviciu_range_computes_the_inverses_once_per_pair(monkeypatch):
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(verify, "pow", counting_pow, raising=False)
+    report = verify.check_popoviciu_range(12)
+    pairs = sum(1 for s in range(1, 13) for t in range(s + 1, 13) if math.gcd(s, t) == 1)
+    assert report.passed and report.total == pairs
+    assert len(calls) == 2 * pairs
 
 
 def test_popoviciu_matches_brute_force():
@@ -143,7 +165,8 @@ def test_symmetry_failures_match_the_per_value_loop(monkeypatch):
     for s in (3, 5, 7, 9, 13):
         for other in ((s, s + 1), (s, s + 4), (s + 2, s + 4)):
             poset = build_gap_poset(other)
-            monkeypatch.setattr(verify, "build_gap_poset", lambda gens, poset=poset: poset)
+            monkeypatch.setattr(verify, "semigroup_gap_mask",
+                                lambda gens, poset=poset: poset.gap_mask)
             report = symmetry_check(s)
             total, failures = per_value_symmetry_failures(s, poset)
             assert failures, (s, other)
@@ -152,6 +175,14 @@ def test_symmetry_failures_match_the_per_value_loop(monkeypatch):
     for s in (3, 11, 61):
         assert (symmetry_check(s).total, []) == per_value_symmetry_failures(
             s, build_gap_poset((s, s + 2)))
+
+
+def test_symmetry_range_keeps_no_poset():
+    before = posets._cached_poset.cache_info()
+    report = verify.check_symmetry_range(3, 61)
+    after = posets._cached_poset.cache_info()
+    assert report.passed and report.total == 30
+    assert (after.currsize, after.misses) == (before.currsize, before.misses)
 
 
 def test_symmetry_reflection_is_involution():
@@ -299,6 +330,71 @@ def test_a_walk_that_yields_a_non_ideal_or_a_repeat_fails_cores_ok(monkeypatch):
     walks[3, 5] = [[], [1], [1, 2], [1, 2, 4], [1, 2, 4, 7], [1], [2]]
     assert _check_pair(3, 5) == (
         False, "ideals=7 paths=7 formula=7 cores ok=False total size: paths=21 cores=18")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_equinumerosity_walks_each_poset_once(monkeypatch, jobs):
+    # the benchmark's range: 64 pairs and 27 runs, where pair (n, n+1) and
+    # run (n, 1) share a poset for n <= 9
+    walked = []
+
+    def counting(poset):
+        walked.append(poset.generators)
+        return _ideals_and_cores(poset)
+
+    monkeypatch.setattr(verify, "_ideals_and_cores", counting)
+    report = equinumerosity_suite(20, 9, 3, jobs=jobs)
+    assert report.passed and report.total == 91
+    assert len(walked) == len(set(walked)) == 82
+
+
+def test_a_shared_poset_is_walked_once_across_threads(monkeypatch):
+    walked = []
+
+    def counting(poset):
+        walked.append(poset.generators)
+        return _ideals_and_cores(poset)
+
+    monkeypatch.setattr(verify, "_ideals_and_cores", counting)
+    shared = verify._shared_ideals_and_cores()
+    gens_list = [(3, 4), (3, 5), (4, 5), (5, 7), (5, 6, 7)] * 8
+    random.Random(5).shuffle(gens_list)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda gens: shared(build_gap_poset(gens)), gens_list, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(walked) == sorted(set(gens_list))
+    assert got == [_ideals_and_cores(build_gap_poset(gens)) for gens in gens_list]
+
+
+def test_a_shared_poset_fails_both_of_its_instances(monkeypatch):
+    def cores_fail_for_3_4(poset):
+        n_ideals, size_sum, cores_ok = _ideals_and_cores(poset)
+        return n_ideals, size_sum, cores_ok and poset.generators != (3, 4)
+
+    monkeypatch.setattr(verify, "_ideals_and_cores", cores_fail_for_3_4)
+    # the details are those of the checks run on their own
+    expected = [f"pair (3,4): {_check_pair(3, 4)[1]}",
+                f"consecutive (3,1): {_check_consecutive(3, 1)[1]}"]
+    assert expected == [
+        "pair (3,4): ideals=5 paths=5 formula=5 cores ok=False total size: paths=10 cores=10",
+        "consecutive (3,1): paths=5 ideals=5 multi_catalan=5 bijection=yes cores ok=False"]
+    for jobs in (1, 2):
+        assert equinumerosity_suite(10, 5, 2, jobs=jobs).failures == expected, jobs
+
+    def invariant_fails_for_3_4(poset):
+        if poset.generators == (3, 4):
+            raise InvariantError("the walk broke")
+        return _ideals_and_cores(poset)
+
+    monkeypatch.setattr(verify, "_ideals_and_cores", invariant_fails_for_3_4)
+    for jobs in (1, 2):
+        assert equinumerosity_suite(10, 5, 2, jobs=jobs).failures == [
+            "pair (3,4): invariant failed: the walk broke",
+            "consecutive (3,1): invariant failed: the walk broke"], jobs
 
 
 def test_check_report_shape():
