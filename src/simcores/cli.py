@@ -1,9 +1,10 @@
 """Command-line front end: construction, enumeration, verification, diagrams.
 
-Exit codes: 0 success, 1 usage or precondition error, 2 a verification
-found a counterexample or an oracle-check mismatch (an internal invariant
-that failed counts as one).  Unbounded integers (counts, totals,
-coefficients) are emitted as decimal strings in JSON, at any length.
+Exit codes: 0 success, 1 usage or precondition error (running out of
+memory counts as one), 2 a verification found a counterexample or an
+oracle-check mismatch (an internal invariant that failed counts as one).
+Unbounded integers (counts, totals, coefficients) are emitted as decimal
+strings in JSON, at any length.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from .paths import (
     count_rect_paths,
     enumerate_gd,
     enumerate_rect_paths,
+    gd_paths_name,
+    rect_paths_name,
     svg_paths,
 )
 from .posets import LIST_CAP, build_gap_poset, multi_catalan
@@ -283,7 +286,7 @@ def cmd_paths_rect(args) -> int:
     return _listing(
         args, {"s": args.s, "t": args.t}, lambda: count_rect_paths(args.s, args.t),
         lambda cap: enumerate_rect_paths(args.s, args.t, max_items=cap),
-        key="paths", noun="paths", kind="rect paths", what=f"rect paths for s={args.s}, t={args.t}",
+        key="paths", noun="paths", kind="rect paths", what=rect_paths_name(args.s, args.t),
         to_json=lambda path: path.to_json(), to_text=lambda path: " ".join(path.steps),
         write=_svg_writer(args.svg),
     )
@@ -294,7 +297,7 @@ def cmd_paths_gd(args) -> int:
         args, {"n": args.n, "k": args.k}, lambda: count_gd(args.n, args.k),
         lambda cap: enumerate_gd(args.n, args.k, max_items=cap),
         key="paths", noun="paths", kind="generalized paths",
-        what=f"generalized paths for n={args.n}, k={args.k}",
+        what=gd_paths_name(args.n, args.k),
         to_json=lambda path: path.to_json(), to_text=lambda path: " ".join(path.steps),
         write=_svg_writer(args.svg, labels=args.labels),
     )
@@ -366,12 +369,19 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
+    except MemoryError:
+        # first, because matching the tuple clause below allocates, which fails
+        # with no memory left; reported after the handler, which lets go of the
+        # frames that ran out
+        pass
     except InvariantError as exc:
         print(f"simcores: internal invariant failed: {exc}", file=sys.stderr)
         return 2
     except (SimcoresError, ValueError, OSError) as exc:
         print(f"simcores: {exc}", file=sys.stderr)
         return 1
+    print("simcores: out of memory", file=sys.stderr)
+    return 1
 
 
 def entry_point() -> None:

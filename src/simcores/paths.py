@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, reduce
-from itertools import chain, islice
+from itertools import chain
 from operator import or_
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import EnumerationCapError, InvariantError, NonCoprimeError
 from .exact import binomial
@@ -139,6 +139,20 @@ def diagonal_partition(s: int, t: int) -> Partition:
     return Partition(sorted((s * i // t for i in range(1, t)), reverse=True))
 
 
+def rect_paths_name(s: int, t: int) -> str:
+    """How the (s, t) rectangle paths are named in a cap error."""
+    return f"({s},{t}) rectangle paths"
+
+
+def _check_cap(max_items: int | None, count: Callable[[int, int], int], a: int, b: int,
+               name: Callable[[int, int], str]) -> None:
+    """The one cap on a path walk, checked before the walk starts: raise
+    EnumerationCapError, naming the family name(a, b), when its closed-form
+    count(a, b) passes max_items."""
+    if max_items is not None and count(a, b) > max_items:
+        raise EnumerationCapError(name(a, b), max_items)
+
+
 def enumerate_rect_paths(s: int, t: int, max_items: int | None = LIST_CAP) -> Iterator[RectPath]:
     """All (s, t) paths, N-step first at every branch (deterministic order).
 
@@ -146,77 +160,101 @@ def enumerate_rect_paths(s: int, t: int, max_items: int | None = LIST_CAP) -> It
     is compared with it before the walk.
     """
     _require_coprime(s, t)
-    what = f"({s},{t}) rectangle paths"
-    if max_items is not None and count_rect_paths(s, t) > max_items:
-        raise EnumerationCapError(what, max_items)
-    for steps in _lattice_walks(RectPath.moves, (t, s), max_items, what):
+    _check_cap(max_items, count_rect_paths, s, t, rect_paths_name)
+    for steps in _lattice_walks(RectPath.moves, (t, s)):
         yield RectPath._from_walk(s, t, steps)
 
 
 def _lattice_walks(moves: Mapping[str, tuple[int, int]], target: tuple[int, int],
-                   max_items: int | None, what: str,
                    labels: Sequence[Sequence[int]] | None = None
                    ) -> Iterator[tuple[str, ...] | int]:
-    """Step names of every walk from (0,0) to target that stays weakly above the
-    segment joining them and never rises above target's height, as a tuple.
+    """Every walk from (0,0) to target that stays weakly above the segment
+    joining them and never rises above target's height, as the sum of the
+    heads of its steps.
+
+    A step's head is its name as a 1-tuple, so a walk is the tuple of its
+    step names.  With `labels`, a table whose entry [x][h] is the bitmask of
+    column x's labels strictly below height h, a step's head is the bitmask
+    of the labels it takes, so a walk is its label set as one int: a step
+    from (x, y) to (x+dx, y+dy) takes the labels of columns x .. x+dx-1
+    below y+dy, and every column is crossed by exactly one step with dx > 0,
+    so no label is taken twice and + on the masks is |.
 
     Depth-first order, trying `moves` (name -> (dx, dy)) in their order at
     each point.  The points near the target keep their walks to it as lists
-    (_walk_tails); an explicit stack of (x, y, next move, label mask) frames
+    (_walk_tails); an explicit stack of (x, y, next move, walk so far) frames
     walks only the points farther out, so path length is not limited by
     recursion depth, and hands out the list of each point it steps to with
-    one map of the walk so far over it.  Raises EnumerationCapError (naming
-    `what`) on reaching walk max_items + 1, after yielding max_items walks.
-
-    With `labels`, a table whose entry [x][h] is the bitmask of column x's
-    labels strictly below height h, each walk yields its label set as one
-    int in place of the steps.  Every column is crossed by exactly one step
-    with dx > 0, and a step from (x, y) to (x+dx, y+dy) takes the labels of
-    columns x .. x+dx-1 below y+dy, so each frame carries the OR of the
-    label masks taken on the way to it.
+    one map of the walk so far over it.  The walk has no cap of its own:
+    every caller compares the family's closed-form count with its cap first
+    (_check_cap).
     """
-    count = 0
-    for size, batch in _walk_batches(moves, target, labels):
-        if max_items is not None and count + size > max_items:
-            yield from islice(batch, max(max_items - count, 0))
-            raise EnumerationCapError(what, max_items)
-        count += size
-        yield from batch
+    tx, ty = target
+    width = tx + 1
+    zero, steps = _walk_heads(moves, target, labels)
+    tails = _walk_tails(steps, target, zero)
+    if 0 in tails:
+        yield from tails[0]
+        return
+    n_moves = len(steps)
+    stack = [(0, 0, 0, zero)]
+    while stack:
+        x, y, m, walk = stack.pop()
+        while m < n_moves:
+            dx, dy, heads = steps[m]
+            m += 1
+            nx, ny = x + dx, y + dy
+            if ny > ty or tx * ny < ty * nx:
+                continue
+            reached = walk + heads[x][ny]
+            tail = tails.get(ny * width + nx)
+            if tail is None:
+                stack.append((x, y, m, walk))
+                stack.append((nx, ny, 0, reached))
+                break
+            if tail:
+                yield from map(reached.__add__, tail)
+
+
+def _walk_heads(moves: Mapping[str, tuple[int, int]], target: tuple[int, int],
+                labels: Sequence[Sequence[int]] | None) -> tuple[tuple | int, list[tuple]]:
+    """(the empty walk, (dx, dy, heads) per move), where heads[x][h] is the
+    head of the move from column x to height h, as _lattice_walks defines it."""
+    tx, ty = target
+    if labels is None:
+        return (), [(dx, dy, [[(name,)] * (ty + 1)] * (tx + 1))
+                    for name, (dx, dy) in moves.items()]
+    return 0, [(dx, dy, _step_gains(labels, dx, tx)) for dx, dy in moves.values()]
 
 
 # a lattice point with at most this many walks to the target keeps them in
 # one list, and the kept lists hold at most _TAIL_STEPS steps between them
 # (each walk counted at the longest length from its point), so their memory
-# is bounded however high the cap
+# is bounded however many walks there are
 _TAIL_ITEMS = 256
 _TAIL_STEPS = 1 << 18
 
 
-def _walk_steps(moves: Mapping[str, tuple[int, int]], tx: int,
-                labels: Sequence[Sequence[int]] | None) -> list[tuple]:
-    """(name, dx, dy, gain) per move, gain from _step_gains with labels, else None."""
-    return [(name, dx, dy, _step_gains(labels, dx, tx) if labels is not None else None)
-            for name, (dx, dy) in moves.items()]
-
-
-def _walk_tails(steps: list[tuple], target: tuple[int, int], masks: bool) -> dict[int, list]:
+def _walk_tails(steps: list[tuple], target: tuple[int, int], zero: tuple | int
+                ) -> dict[int, list]:
     """tails[y * (tx+1) + x]: every walk from (x, y) to target in walk order,
-    as step tuples (label masks if `masks`), for the points near the target
-    with at most _TAIL_ITEMS of them; `steps` comes from _walk_steps.
+    as sums of heads starting from `zero`, for the points near the target
+    with at most _TAIL_ITEMS of them; `steps` and `zero` come from
+    _walk_heads.
 
     Built back from the target in reverse row-major order, which puts every
-    point after the points its steps reach.  A point's list joins, move by
-    move, the step's name (or the labels it takes) to each walk of the point
-    it reaches, so no separate count is needed; a point that reaches a point
-    without a list, or whose list would pass either bound, gets none.  With
-    a step (0, d), d rows without a list leave none to any row below: each
-    point there steps to a point d rows up.
+    point after the points its steps reach.  A point's list adds, move by
+    move, the step's head to each walk of the point it reaches, so no
+    separate count is needed; a point that reaches a point without a list,
+    or whose list would pass either bound, gets none.  With a step (0, d),
+    d rows without a list leave none to any row below: each point there
+    steps to a point d rows up.
     """
     tx, ty = target
     width = tx + 1
-    tails = {width * (ty + 1) - 1: [0 if masks else ()]}
+    tails = {width * (ty + 1) - 1: [zero]}
     budget = _TAIL_STEPS
-    rises = [dy for _, dx, dy, _ in steps if not dx]
+    rises = [dy for dx, dy, _ in steps if not dx]
     rows_without = 0
     for y in range(ty, -1, -1):
         if rises and rows_without >= min(rises):
@@ -225,7 +263,7 @@ def _walk_tails(steps: list[tuple], target: tuple[int, int], masks: bool) -> dic
         for x in range(tx * y // ty - (y == ty), -1, -1):  # the target is done
             joins = []
             total = 0
-            for name, dx, dy, gain in steps:
+            for dx, dy, heads in steps:
                 nx, ny = x + dx, y + dy
                 if ny > ty or tx * ny < ty * nx:
                     continue
@@ -233,7 +271,7 @@ def _walk_tails(steps: list[tuple], target: tuple[int, int], masks: bool) -> dic
                 if tail is None:
                     break
                 if tail:
-                    joins.append((gain[x][ny] if gain else 0, tail) if masks else ((name,), tail))
+                    joins.append((heads[x][ny], tail))
                     total += len(tail)
             else:
                 # a walk from (x, y) takes at most tx - x + ty - y steps
@@ -241,57 +279,16 @@ def _walk_tails(steps: list[tuple], target: tuple[int, int], masks: bool) -> dic
                 if total <= _TAIL_ITEMS and cost <= budget:
                     budget -= cost
                     rows_without = 0
-                    if masks:
-                        tails[y * width + x] = [head | walk for head, tail in joins for walk in tail]
-                    else:
-                        tails[y * width + x] = [head + walk for head, tail in joins for walk in tail]
+                    tails[y * width + x] = [head + walk for head, tail in joins for walk in tail]
     return tails
 
 
-def _walk_batches(moves: Mapping[str, tuple[int, int]], target: tuple[int, int],
-                  labels: Sequence[Sequence[int]] | None) -> Iterator[tuple[int, Iterable]]:
-    """_lattice_walks' walks as consecutive (size, items) batches: the kept
-    list of each point the depth-first walk steps to, mapped onto the walk
-    that reached it."""
-    tx, ty = target
-    width = tx + 1
-    steps = _walk_steps(moves, tx, labels)
-    tails = _walk_tails(steps, target, labels is not None)
-    if 0 in tails:
-        yield len(tails[0]), tails[0]
-        return
-    n_moves = len(steps)
-    path: list[str] = []
-    stack = [(0, 0, 0, 0)]
-    while stack:
-        x, y, m, taken = stack.pop()
-        while m < n_moves:
-            name, dx, dy, gain = steps[m]
-            m += 1
-            nx, ny = x + dx, y + dy
-            if ny > ty or tx * ny < ty * nx:
-                continue
-            reached = taken | gain[x][ny] if gain else taken
-            tail = tails.get(ny * width + nx)
-            if tail is None:
-                stack.append((x, y, m, taken))
-                stack.append((nx, ny, 0, reached))
-                path.append(name)
-                break
-            if tail:
-                join = (*path, name).__add__ if labels is None else reached.__or__
-                yield len(tail), map(join, tail)
-        else:
-            if stack:  # every frame but the first was entered by a step
-                path.pop()
-
-
-def _step_gains(labels: Sequence[Sequence[int]], dx: int, tx: int) -> list[list[int]] | None:
+def _step_gains(labels: Sequence[Sequence[int]], dx: int, tx: int) -> list[list[int]]:
     """gain[x][h]: the labels a step of width dx from column x to height h
     takes, the OR of labels[x .. x+dx-1][h], for every start column
-    x <= tx - dx; None for a step that crosses no column."""
+    x <= tx - dx; all zero for a step that crosses no column."""
     if not dx:
-        return None
+        return [[0] * len(labels[0])] * (tx + 1)
     return [[reduce(or_, column_masks) for column_masks in zip(*labels[x:x + dx])]
             for x in range(tx - dx + 1)]
 
@@ -352,6 +349,11 @@ def count_gd(n: int, k: int) -> int:
     return multi_catalan(n, k)
 
 
+def gd_paths_name(n: int, k: int) -> str:
+    """How the generalized (n,k) paths are named in a cap error."""
+    return f"generalized ({n},{k}) paths"
+
+
 def enumerate_gd(n: int, k: int, max_items: int | None = LIST_CAP) -> Iterator[GeneralizedDyckPath]:
     """All generalized (n,k) paths; step order Nk, Ek, D1..D(k-1) at each branch.
 
@@ -359,10 +361,8 @@ def enumerate_gd(n: int, k: int, max_items: int | None = LIST_CAP) -> Iterator[G
     compared with it before the walk.
     """
     _require_nk(n, k)
-    what = f"generalized ({n},{k}) paths"
-    if max_items is not None and count_gd(n, k) > max_items:
-        raise EnumerationCapError(what, max_items)
-    for steps in _lattice_walks(_gd_moves(k), (n, n), max_items, what):
+    _check_cap(max_items, count_gd, n, k, gd_paths_name)
+    for steps in _lattice_walks(_gd_moves(k), (n, n)):
         yield GeneralizedDyckPath._from_walk(n, k, steps)
 
 
@@ -376,10 +376,8 @@ def gd_label_masks(n: int, k: int, max_items: int | None = LIST_CAP) -> Iterator
     before the label table is built.
     """
     _require_nk(n, k)
-    what = f"generalized ({n},{k}) paths"
-    if max_items is not None and multi_catalan(n, k) > max_items:
-        raise EnumerationCapError(what, max_items)
-    return _lattice_walks(_gd_moves(k), (n, n), max_items, what, _gd_label_table(n, k))
+    _check_cap(max_items, count_gd, n, k, gd_paths_name)
+    return _lattice_walks(_gd_moves(k), (n, n), _gd_label_table(n, k))
 
 
 def _gd_label_table(n: int, k: int) -> list[list[int]]:

@@ -198,12 +198,6 @@ class GapPoset:
                 if need[u] & mask == need[u]:
                     addable |= 1 << u
 
-    def _check_state_count(self, states: dict, max_states: int | None) -> None:
-        if max_states is not None and len(states) > max_states:
-            raise EnumerationCapError(
-                f"ideal-counting state space for P_{list(self.generators)}", max_states
-            )
-
     def count_lower_ideals(self, max_states: int | None = COUNT_CAP) -> int:
         """Number of lower ideals: the N of core_size_totals' residue-class DP.
 
@@ -237,8 +231,9 @@ class GapPoset:
         |lambda| = S - K(K-1)/2 (ideal_to_core), so taking the h gaps of
         class r, of sum sigma = h r + m h(h-1)/2, adds
         N sigma - h sum K - N h(h-1)/2 to sum |lambda| and N h to sum K, as
-        in paths._walk_size_totals.  Valid for any generators; past
-        max_states states it raises EnumerationCapError.
+        in paths._walk_size_totals.  Valid for any generators; it raises
+        EnumerationCapError when a residue step is about to add a state past
+        max_states, so no step holds more than max_states states.
         """
         gens = self.generators
         m = gens[0]
@@ -265,6 +260,7 @@ class GapPoset:
                 j = max(step[r], step[r2])
                 last[r], last[r2] = max(last[r], j), max(last[r2], j)
         live: list[int] = []  # the residues whose heights make up the key
+        limit = math.inf if max_states is None else max_states
         states: dict[tuple[int, ...], tuple[int, int, int]] = {(): (1, 0, 0)}
         for j, r in enumerate(order):
             # h_r <= h_r2 + c for r's own constraints on residues taken
@@ -287,9 +283,11 @@ class GapPoset:
                     old = nxt.get(new_key)
                     if old is not None:
                         here = (old[0] + here[0], old[1] + here[1], old[2] + here[2])
+                    elif len(nxt) >= limit:
+                        raise EnumerationCapError(
+                            f"ideal-counting state space for P_{list(gens)}", max_states)
                     nxt[new_key] = here
             states = nxt
-            self._check_state_count(states, max_states)
         # every height has left the key, so one state holds all the ideals
         count, size_sum, _ = states[()]
         return count, size_sum

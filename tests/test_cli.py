@@ -326,9 +326,9 @@ def test_count_only_max_items_caps_the_count(capsys):
             (("ideals", "--gens", "5,7"), 66, "lower ideals of P_[5, 7]"),
             (("ideals", "--gens", "5,7", "--format", "json"), 66, "lower ideals of P_[5, 7]"),
             (("cores", "--gens", "5,7", "--format", "json"), 66, "lower ideals of P_[5, 7]"),
-            (("paths", "rect", "--s", "3", "--t", "5"), 7, "rect paths for s=3, t=5"),
+            (("paths", "rect", "--s", "3", "--t", "5"), 7, "(3,5) rectangle paths"),
             (("paths", "gd", "--n", "6", "--k", "2", "--format", "json"), multi_catalan(6, 2),
-             "generalized paths for n=6, k=2")):
+             "generalized (6,2) paths")):
         cap = str(count - 1)
         assert run_cli(capsys, *argv, "--count-only", "--max-items", cap) == (
             1, "", f"simcores: {what} exceeds the cap of {cap}; raise the cap to proceed\n")
@@ -370,6 +370,17 @@ def test_a_path_listing_past_the_cap_fails_before_any_walk(capsys, monkeypatch):
     assert run_cli(capsys, "paths", "rect", "--s", "13", "--t", "17", "--list") == (
         1, "", "simcores: (13,17) rectangle paths exceeds the cap of 1000000; "
                "raise the cap to proceed\n")
+
+
+def test_running_out_of_memory_exits_1_with_one_line(capsys, monkeypatch):
+    from simcores import cli
+
+    def out_of_memory(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_cores", out_of_memory)
+    assert run_cli(capsys, "cores", "--gens", "100000,100001", "--count-only") == (
+        1, "", "simcores: out of memory\n")
 
 
 def assert_usage_error(capsys, *argv, message):

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import math
 import re
 from collections import Counter
@@ -20,7 +19,7 @@ from simcores.paths import (
     _lattice_walks,
     _rect_labels_below,
     _step_gains,
-    _walk_steps,
+    _walk_heads,
     _walk_tails,
     count_gd,
     count_rect_paths,
@@ -347,7 +346,7 @@ def test_walk_label_masks_of_rectangle_paths_are_the_ideals():
     for s, t in coprime_pairs(16):
         labels = [[sum(1 << a for a in _rect_labels_below(s, t, x, h)) for h in range(s + 1)]
                   for x in range(t)]
-        masks = list(_lattice_walks(RectPath.moves, (t, s), None, "rect", labels))
+        masks = list(_lattice_walks(RectPath.moves, (t, s), labels))
         poset = build_gap_poset((s, t))
         ideals = {sum(1 << g for g in ideal) for ideal in poset.iter_lower_ideals()}
         assert len(masks) == count_rect_paths(s, t), (s, t)
@@ -356,8 +355,9 @@ def test_walk_label_masks_of_rectangle_paths_are_the_ideals():
 
 def depth_first_walks(moves, target, labels=None, start=(0, 0)):
     # reference: the node-by-node depth-first walk the tail lists replaced,
-    # one explicit stack frame (x, y, next move, label mask) per point; from
-    # `start`, it yields the walks on from there, in the same region
+    # one explicit stack frame (x, y, next move, label mask) per point, that
+    # joins the labels of the steps with |, where the walk under test adds
+    # them; from `start`, it yields the walks on from there, in the same region
     tx, ty = target
     moves = [(name, dx, dy, _step_gains(labels, dx, tx) if labels is not None else None)
              for name, (dx, dy) in moves.items()]
@@ -405,32 +405,13 @@ def test_tail_walk_matches_the_depth_first_walk(monkeypatch, tail_items, tail_st
     monkeypatch.setattr(paths_mod, "_TAIL_STEPS", tail_steps)
     for moves, target, labels in walk_families(10, 4, 18):
         for table in (None, labels):
-            got = list(_lattice_walks(moves, target, None, "walks", table))
+            got = list(_lattice_walks(moves, target, table))
             assert got == list(depth_first_walks(moves, target, table)), (target, moves, table)
 
 
-def test_tail_walk_raises_the_cap_at_the_same_item(monkeypatch):
-    monkeypatch.setattr(paths_mod, "_TAIL_ITEMS", 4)
-    for moves, target, labels in [(_gd_moves(2), (7, 7), _gd_label_table(7, 2)),
-                                  (_gd_moves(3), (8, 8), _gd_label_table(8, 3)),
-                                  (RectPath.moves, (7, 5), rect_label_table(5, 7))]:
-        for table in (None, labels):
-            want = list(depth_first_walks(moves, target, table))
-            total = len(want)
-            for cap in sorted({-1, 0, 1, 2, 3, 5, total // 2, total - 1}):
-                walks = _lattice_walks(moves, target, cap, "these walks", table)
-                assert list(itertools.islice(walks, max(cap, 0))) == want[:max(cap, 0)], (
-                    target, cap)
-                with pytest.raises(EnumerationCapError) as err:
-                    next(walks)
-                assert str(err.value) == (
-                    f"these walks exceeds the cap of {cap}; raise the cap to proceed")
-            assert list(_lattice_walks(moves, target, total, "these walks", table)) == want
-
-
 def test_kept_tails_are_bounded_and_are_each_points_walks():
-    steps = _walk_steps(_gd_moves(3), 200, None)
-    tails = _walk_tails(steps, (200, 200), False)
+    zero, steps = _walk_heads(_gd_moves(3), (200, 200), None)
+    tails = _walk_tails(steps, (200, 200), zero)
     points = 201 * 202 // 2
     assert 0 < len(tails) < points and 0 not in tails
     assert all(len(kept) <= paths_mod._TAIL_ITEMS for kept in tails.values())

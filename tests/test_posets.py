@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -487,6 +488,24 @@ def test_count_state_cap_bounds_the_peak_state_count(gens, peak, count):
     with pytest.raises(EnumerationCapError) as err:
         poset.count_lower_ideals(max_states=peak - 1)
     assert str(err.value).startswith(f"ideal-counting state space for P_{list(gens)}")
+
+
+def test_count_state_cap_fires_as_a_step_adds_states():
+    # one residue step can multiply the states by n_r + 1, so the cap is
+    # checked as each state is added: past a cap of 100 states, (100, 150,
+    # 199) fails holding about 0.07 MB, where a check after each step held
+    # about 1 MB (and 32 MB past a cap of 10^4)
+    poset = build_gap_poset((100, 150, 199))
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapError) as err:
+            poset.core_size_totals(max_states=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == ("ideal-counting state space for P_[100, 150, 199] exceeds "
+                              "the cap of 100; raise the cap to proceed")
+    assert peak < 300_000, peak
 
 
 def test_enumerated_ideals_closed_under_order():
