@@ -20,9 +20,11 @@ from .errors import EnumerationCapError, InfinitePosetError, InvariantError
 from .partitions import CoreModuli, Partition, cores_row_by_row, partition_from_hooks
 
 # listings stop with EnumerationCapError past LIST_CAP items, the counting
-# DP past COUNT_CAP states
+# DP past COUNT_CAP states.  A DP state costs about 140 bytes and a residue
+# step holds two state dicts, so the cap must fire before memory runs out
+# (about 260 MB at 10^6 states)
 LIST_CAP = 10**6
-COUNT_CAP = 10**7
+COUNT_CAP = 10**6
 
 # the binary digits "0" and "1" as the bytes 0 and 1, for itertools.compress
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")

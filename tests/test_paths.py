@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import pytest
 
-from simcores.errors import EnumerationCapError, NonCoprimeError
+from simcores.errors import EnumerationCapError, InvariantError, NonCoprimeError
 from simcores.exact import catalan_number
 from simcores.partitions import Partition, subpartitions
 import simcores.paths as paths_mod
@@ -242,6 +242,30 @@ def test_gd_to_ideal_extremes():
     hugging = GeneralizedDyckPath(4, 2, ["D1"] * 4)
     assert gd_to_ideal(hugging, poset) == frozenset()
 
+
+
+def test_gd_to_ideal_raises_on_a_label_set_that_is_not_a_lower_ideal(monkeypatch):
+    real = paths_mod._labels_below
+
+    def takes_a_non_gap(n, k, x, h):
+        # the generator n is no gap, so no lower ideal holds it
+        below = real(n, k, x, h)
+        return [*below, n] if x == 0 and below else below
+
+    poset = consecutive_poset(4, 2)
+    topmost = GeneralizedDyckPath(4, 2, ["N2", "N2", "E2", "E2"])
+    # gd_to_ideal keeps the labels each step takes in _step_labels' cache
+    paths_mod._step_labels.cache_clear()
+    monkeypatch.setattr(paths_mod, "_labels_below", takes_a_non_gap)
+    try:
+        with pytest.raises(InvariantError, match=re.escape(
+                "label set [1, 2, 3, 4, 7] from path ['N2', 'N2', 'E2', 'E2'] is not a lower "
+                "ideal of P_[4, 5, 6]; labeling orientation bug")):
+            gd_to_ideal(topmost, poset)
+    finally:
+        monkeypatch.undo()
+        paths_mod._step_labels.cache_clear()
+    assert gd_to_ideal(topmost, poset) == frozenset(poset.gaps)
 
 def reference_cell_labels(n, k):
     # reference: the labelled cells built diagonal by diagonal, y - x = qk + 1

@@ -1,8 +1,10 @@
+import gc
 import inspect
 import json
 import math
 import random
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -11,7 +13,7 @@ from simcores import paths, posets, verify
 from simcores.exact import binomial, catalan_number
 from simcores.errors import InvariantError, NonCoprimeError
 from simcores.partitions import Partition, partitions_in_box
-from simcores.paths import diagonal_partition
+from simcores.paths import diagonal_partition, gd_size_totals
 from simcores.posets import GapPoset, build_gap_poset, consecutive_poset, multi_catalan
 from simcores.qpoly import QPolynomial
 from simcores.verify import (
@@ -101,6 +103,24 @@ def test_popoviciu_range_computes_the_inverses_once_per_pair(monkeypatch):
     assert report.passed and report.total == pairs
     assert len(calls) == 2 * pairs
 
+
+
+def test_popoviciu_range_fails_a_pair_whose_sieve_disagrees_with_the_formula(monkeypatch):
+    real = posets._sieve
+
+    def sieve_with_an_extra_gap(gens):
+        # 9 = 3 + 3 + 3 is representable; calling it a gap moves the largest gap
+        return real(gens) | (1 << 9 if gens == (3, 5) else 0)
+
+    posets._cached_poset.cache_clear()
+    monkeypatch.setattr(posets, "_sieve", sieve_with_an_extra_gap)
+    try:
+        report = verify.check_popoviciu_range(5)
+    finally:
+        monkeypatch.undo()
+        posets._cached_poset.cache_clear()
+    assert report.failures == [
+        "(s,t)=(3,5): invariant failed: sieve says largest gap 9, formula 7"]
 
 def test_popoviciu_matches_brute_force():
     for s in range(1, 26):
@@ -232,6 +252,14 @@ def test_conjecture_total_size():
         conjecture_total_size(2)
 
 
+
+def test_the_path_dp_at_s_200():
+    # the scale README cites: lhs = rhs is the Yang-Zhong-Zhou theorem, and
+    # the DP's path count is the closed-form multi-Catalan number
+    lhs, rhs = conjecture_total_size(200)
+    assert lhs == rhs
+    assert gd_size_totals(200, 3)[0] == multi_catalan(200, 3)
+
 def test_conjecture_rhs_formula():
     lhs, rhs = conjecture_total_size(4)
     assert rhs == binomial(3, 3) * 1 + binomial(4, 3) * 1 + binomial(5, 3) * 2
@@ -258,18 +286,18 @@ def test_ideals_and_cores_counts_without_keeping_the_ideals():
 
 
 def test_equinumerosity_failure_details(monkeypatch):
-    assert _check_pair(3, 5) == (True, "")
-    assert _check_consecutive(4, 2) == (True, "")
+    assert _check_pair(3, 5, _ideals_and_cores) == (True, "")
+    assert _check_consecutive(4, 2, _ideals_and_cores) == (True, "")
     monkeypatch.setattr(verify, "rect_size_totals", lambda s, t: (7, 20))
-    assert _check_pair(3, 5) == (
+    assert _check_pair(3, 5, _ideals_and_cores) == (
         False, "ideals=7 paths=7 formula=7 cores ok=True total size: paths=20 cores=21")
     monkeypatch.undo()
     monkeypatch.setattr(verify, "count_rect_paths", lambda s, t: 8)
-    assert _check_pair(3, 5) == (
+    assert _check_pair(3, 5, _ideals_and_cores) == (
         False, "ideals=7 paths=7 formula=8 cores ok=True total size: paths=21 cores=21")
     # every path yields the empty label set
     monkeypatch.setattr(paths, "_gd_label_table", lambda n, k: [[0] * (n + 1)] * n)
-    assert _check_consecutive(4, 2) == (
+    assert _check_consecutive(4, 2, _ideals_and_cores) == (
         False, "paths=9 ideals=9 multi_catalan=9 bijection=NO cores ok=True"
     )
 
@@ -286,7 +314,7 @@ def test_a_path_whose_labels_are_not_an_ideal_fails_the_bijection(monkeypatch):
     changed = [a for a, b in zip(masks, paths.gd_label_masks(4, 2), strict=True) if a != b]
     assert len(changed) == 1 and len(set(masks)) == 9
     monkeypatch.setattr(paths, "_gd_label_table", lambda n, k: table)
-    assert _check_consecutive(4, 2) == (
+    assert _check_consecutive(4, 2, _ideals_and_cores) == (
         False, "paths=9 ideals=9 multi_catalan=9 bijection=NO cores ok=True"
     )
 
@@ -307,8 +335,8 @@ def test_the_equinumerosity_checks_build_no_path_partition_or_frozenset(monkeypa
     monkeypatch.setattr(GapPoset, "iter_lower_ideals", refuse)
     for module in (verify, paths, posets):
         monkeypatch.setattr(module, "frozenset", refuse, raising=False)
-    assert _check_consecutive(9, 3) == (True, "")
-    assert _check_pair(9, 11) == (True, "")
+    assert _check_consecutive(9, 3, _ideals_and_cores) == (True, "")
+    assert _check_pair(9, 11, _ideals_and_cores) == (True, "")
 
 
 def test_a_walk_that_yields_a_non_ideal_or_a_repeat_fails_cores_ok(monkeypatch):
@@ -320,15 +348,15 @@ def test_a_walk_that_yields_a_non_ideal_or_a_repeat_fails_cores_ok(monkeypatch):
              (3, 4): [[], [1], [1, 2], [5], [2]]}
     monkeypatch.setattr(GapPoset, "_walk_lower_ideals",
                         lambda self, max_items: iter(walks[self.generators]))
-    assert _check_pair(3, 5) == (
+    assert _check_pair(3, 5, _ideals_and_cores) == (
         False, "ideals=7 paths=7 formula=7 cores ok=False total size: paths=21 cores=21")
     # the path images are checked pointwise, not against the walk, so only
     # the hook test sees the non-ideal
-    assert _check_consecutive(3, 1) == (
+    assert _check_consecutive(3, 1, _ideals_and_cores) == (
         False, "paths=5 ideals=5 multi_catalan=5 bijection=yes cores ok=False")
     # a repeated ideal: every core passes the hook test, but two are equal
     walks[3, 5] = [[], [1], [1, 2], [1, 2, 4], [1, 2, 4, 7], [1], [2]]
-    assert _check_pair(3, 5) == (
+    assert _check_pair(3, 5, _ideals_and_cores) == (
         False, "ideals=7 paths=7 formula=7 cores ok=False total size: paths=21 cores=18")
 
 
@@ -377,8 +405,8 @@ def test_a_shared_poset_fails_both_of_its_instances(monkeypatch):
 
     monkeypatch.setattr(verify, "_ideals_and_cores", cores_fail_for_3_4)
     # the details are those of the checks run on their own
-    expected = [f"pair (3,4): {_check_pair(3, 4)[1]}",
-                f"consecutive (3,1): {_check_consecutive(3, 1)[1]}"]
+    expected = [f"pair (3,4): {_check_pair(3, 4, cores_fail_for_3_4)[1]}",
+                f"consecutive (3,1): {_check_consecutive(3, 1, cores_fail_for_3_4)[1]}"]
     assert expected == [
         "pair (3,4): ideals=5 paths=5 formula=5 cores ok=False total size: paths=10 cores=10",
         "consecutive (3,1): paths=5 ideals=5 multi_catalan=5 bijection=yes cores ok=False"]
@@ -396,6 +424,40 @@ def test_a_shared_poset_fails_both_of_its_instances(monkeypatch):
             "pair (3,4): invariant failed: the walk broke",
             "consecutive (3,1): invariant failed: the walk broke"], jobs
 
+
+
+def test_a_failed_shared_walk_is_neither_kept_nor_cached(monkeypatch):
+    class Walked:
+        pass
+
+    refs = []
+
+    def walk_fails(poset):
+        walked = Walked()  # a local of the walk, as the real walk's ideals are
+        refs.append(weakref.ref(walked))
+        raise InvariantError("the walk broke")
+
+    monkeypatch.setattr(verify, "_ideals_and_cores", walk_fails)
+    shared = verify._shared_ideals_and_cores()
+    poset = build_gap_poset((3, 4))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(2):
+            try:
+                shared(poset)
+            except InvariantError as exc:
+                assert str(exc) == "the walk broke"
+            else:
+                raise AssertionError("the failed walk was not raised")
+            # with no collection, only reference counts can free the walk's
+            # frames: nothing may hold them once the caller drops the exception
+            assert refs[-1]() is None
+    finally:
+        if enabled:
+            gc.enable()
+    # a failed walk stores nothing, so the next caller walks again
+    assert len(refs) == 2
 
 def test_check_report_shape():
     report = check_gf_range(max_p=2, terms=8)
