@@ -262,13 +262,20 @@ def cmd_cores(args) -> int:
         count, total_size = poset.core_size_totals()
         return count, {"total_size": total_size}
 
+    sizes: list[int] = []
+
+    def cores(cap):
+        # each core as its parts tuple; its size is read off the same stream
+        for _, parts, size, _ in poset.iter_core_rows(cap):
+            sizes.append(size)
+            yield parts
+
     return _listing(
-        args, {"generators": list(poset.generators)}, poset.count_lower_ideals,
-        lambda cap: (core for _, core, _ in poset.iter_cores(cap)),
+        args, {"generators": list(poset.generators)}, poset.count_lower_ideals, cores,
         key="cores", noun="simultaneous cores", kind="cores",
         what=f"lower ideals of P_{list(poset.generators)}",
-        to_json=Partition.to_json, to_text=lambda core: "(" + ", ".join(map(str, core.parts)) + ")",
-        totals=lambda cores: {"total_size": sum(c.size for c in cores)} if args.total_size else {},
+        to_json=list, to_text=lambda parts: "(" + ", ".join(map(str, parts)) + ")",
+        totals=lambda _: {"total_size": sum(sizes)} if args.total_size else {},
         count_totals=count_totals if args.total_size else None,
     )
 

@@ -124,18 +124,6 @@ class GapPoset:
         """
         yield from map(frozenset, self._walk_lower_ideals(max_items))
 
-    def iter_cores(self, max_items: int | None = LIST_CAP
-                   ) -> Iterator[tuple[list[int], Partition, int]]:
-        """(ideal, core, hook mask) for every lower ideal, in iter_lower_ideals order.
-
-        The ideal is the walk's reused increasing list of gaps, valid until
-        the next item; the core is the partition with that first-column hook
-        set, and the hook mask has bit h set for each of its hook lengths.
-        Each is iter_core_rows' item with its parts wrapped as a Partition.
-        """
-        for ideal, parts, _, hooks in self.iter_core_rows(max_items):
-            yield ideal, Partition._from_parts(parts), hooks
-
     def iter_core_rows(self, max_items: int | None = LIST_CAP
                        ) -> Iterator[tuple[list[int], tuple[int, ...], int, int]]:
         """(ideal, parts, size, hook mask) of every lower ideal's core, with no Partition built.

@@ -439,40 +439,38 @@ def _shared_ideals_and_cores() -> _IdealsAndCores:
     return ideals_and_cores
 
 
-def _check_pair(s: int, t: int, ideals_and_cores: _IdealsAndCores) -> tuple[bool, str]:
-    """Ideals = paths = count_rect_paths(s, t), and the cores' total size
-    matches the path DP's; `ideals_and_cores` is _ideals_and_cores or a
-    suite's _shared_ideals_and_cores."""
-    poset = build_gap_poset((s, t))
+def _check_paths(poset: GapPoset, ideals_and_cores: _IdealsAndCores, totals: tuple[int, int],
+                 formula: int, masks: list[int] | None = None) -> tuple[bool, str]:
+    """Cores = ideals = paths for a poset and its path family: the walked
+    ideals, the path DP's count and the closed-form `formula` agree, the DP's
+    total size (`totals` is its count and total size) is the cores', and the
+    cores pass.  Given one label bitmask per path, each image must be a lower
+    ideal and the distinct images as many as the ideals, so they are all of
+    them.  `ideals_and_cores` is _ideals_and_cores or a suite's shared one."""
     n_ideals, core_sizes, cores_ok = ideals_and_cores(poset)
-    n_paths, path_sizes = rect_size_totals(s, t)
-    formula = count_rect_paths(s, t)
+    n_paths, path_sizes = totals
     ok = n_ideals == n_paths == formula and path_sizes == core_sizes and cores_ok
     detail = (f"ideals={n_ideals} paths={n_paths} formula={formula} cores ok={cores_ok} "
               f"total size: paths={path_sizes} cores={core_sizes}")
+    if masks is not None:
+        images = set(masks)
+        bijection = (all(map(poset.is_lower_ideal_mask, images))
+                     and len(images) == len(masks) == n_ideals)
+        ok = ok and bijection
+        detail += f" bijection={'yes' if bijection else 'NO'}"
     return ok, detail if not ok else ""
+
+
+def _check_pair(s: int, t: int, ideals_and_cores: _IdealsAndCores) -> tuple[bool, str]:
+    """_check_paths for a coprime pair and its rectangle paths."""
+    return _check_paths(build_gap_poset((s, t)), ideals_and_cores,
+                        rect_size_totals(s, t), count_rect_paths(s, t))
 
 
 def _check_consecutive(n: int, k: int, ideals_and_cores: _IdealsAndCores) -> tuple[bool, str]:
-    """Paths = ideals = multi_catalan(n, k), with gd_to_ideal's map checked
-    path by path on label bitmasks; `ideals_and_cores` as in _check_pair.
-
-    Each path's image is a lower ideal, the images are distinct, and there
-    are as many as the walk yields ideals, so they are all of the ideals.
-    """
-    poset = consecutive_poset(n, k)
-    masks = list(gd_label_masks(n, k))
-    n_paths = len(masks)
-    images = set(masks)
-    n_ideals, _, cores_ok = ideals_and_cores(poset)
-    bijection = (all(map(poset.is_lower_ideal_mask, images))
-                 and len(images) == n_paths == n_ideals)
-    ok = n_paths == n_ideals == multi_catalan(n, k) and bijection and cores_ok
-    detail = (
-        f"paths={n_paths} ideals={n_ideals} multi_catalan={multi_catalan(n, k)} "
-        f"bijection={'yes' if bijection else 'NO'} cores ok={cores_ok}"
-    )
-    return ok, detail if not ok else ""
+    """_check_paths for the run {n, ..., n+k}, its generalized paths and their label masks."""
+    return _check_paths(consecutive_poset(n, k), ideals_and_cores, gd_size_totals(n, k),
+                        multi_catalan(n, k), list(gd_label_masks(n, k)))
 
 
 def equinumerosity_suite(max_pair_sum: int, max_n: int, max_k: int,

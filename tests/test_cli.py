@@ -246,6 +246,18 @@ def test_verify_jobs_flag(capsys):
     assert without_duration(seq) == without_duration(par)
 
 
+def test_verify_equinumerous_json_is_the_same_at_any_jobs(capsys):
+    # the one statement whose instances share work across the pool's threads
+    argv = ["verify", "equinumerous", "--max-sum", "12", "--max-path-n", "7", "--max-k", "3",
+            "--format", "json"]
+    results = []
+    for jobs in ("1", "2"):
+        code, out, err = run_cli(capsys, *argv, "--jobs", jobs)
+        results.append((code, re.sub(r'"duration_seconds": [0-9.e-]+', '"duration_seconds": 0', out), err))
+    assert results[0][0] == 0 and json.loads(results[0][1])[0]["instances"] == 44
+    assert results[0] == results[1]
+
+
 def test_verify_rejects_non_positive_jobs(capsys):
     for jobs in ("0", "-3"):
         code, out, err = run_cli(capsys, "verify", "gf", "--max-p", "2", "--jobs", jobs)

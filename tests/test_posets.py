@@ -633,20 +633,16 @@ def test_cores_built_row_by_row_match_the_sort_and_the_cell_scan():
             assert hooks == sum(1 << h for h in set(core.hooks())), (poset, core)
             n_cores += 1
     assert n_cores == 37648
-    # iter_cores is the same stream with the parts wrapped as a Partition
-    poset = build_gap_poset((5, 8, 13))
-    assert [(list(i), c, h) for i, c, h in poset.iter_cores()] == [
-        (list(i), Partition(p), h) for i, p, _, h in poset.iter_core_rows()]
 
 
-def test_iter_cores_shares_the_walk_cap():
+def test_iter_core_rows_shares_the_walk_cap():
     poset = build_gap_poset((5, 7))
     with pytest.raises(EnumerationCapError) as err:
-        list(poset.iter_cores(max_items=65))
+        list(poset.iter_core_rows(max_items=65))
     assert str(err.value) == "lower ideals of P_[5, 7] exceeds the cap of 65; raise the cap to proceed"
-    assert len(list(poset.iter_cores(max_items=66))) == 66
-    # no gaps: only the empty ideal, whose core has no hooks
-    assert list(build_gap_poset((1, 4)).iter_cores()) == [([], Partition(), 0)]
+    assert len(list(poset.iter_core_rows(max_items=66))) == 66
+    # no gaps: only the empty ideal, whose core has no parts and no hooks
+    assert list(build_gap_poset((1, 4)).iter_core_rows()) == [([], (), 0, 0)]
 
 
 def test_gap_membership_matches_popoviciu():

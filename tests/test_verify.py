@@ -298,7 +298,7 @@ def test_equinumerosity_failure_details(monkeypatch):
     # every path yields the empty label set
     monkeypatch.setattr(paths, "_gd_label_table", lambda n, k: [[0] * (n + 1)] * n)
     assert _check_consecutive(4, 2, _ideals_and_cores) == (
-        False, "paths=9 ideals=9 multi_catalan=9 bijection=NO cores ok=True"
+        False, "ideals=9 paths=9 formula=9 cores ok=True total size: paths=25 cores=25 bijection=NO"
     )
 
 
@@ -315,7 +315,28 @@ def test_a_path_whose_labels_are_not_an_ideal_fails_the_bijection(monkeypatch):
     assert len(changed) == 1 and len(set(masks)) == 9
     monkeypatch.setattr(paths, "_gd_label_table", lambda n, k: table)
     assert _check_consecutive(4, 2, _ideals_and_cores) == (
-        False, "paths=9 ideals=9 multi_catalan=9 bijection=NO cores ok=True"
+        False, "ideals=9 paths=9 formula=9 cores ok=True total size: paths=25 cores=25 bijection=NO"
+    )
+
+
+def test_a_run_whose_path_dp_total_size_is_wrong_fails(monkeypatch):
+    # the {4, 5, 6}-cores number 9 and have total size 25
+    monkeypatch.setattr(verify, "gd_size_totals", lambda n, k: (multi_catalan(n, k), 24))
+    assert _check_consecutive(4, 2, _ideals_and_cores) == (
+        False, "ideals=9 paths=9 formula=9 cores ok=True total size: paths=24 cores=25 bijection=yes"
+    )
+
+
+def test_a_run_whose_path_dp_count_disagrees_with_multi_catalan_fails(monkeypatch):
+    real = paths._walk_size_totals
+
+    def one_too_many(*args):
+        count, size_sum = real(*args)
+        return count + 1, size_sum
+
+    monkeypatch.setattr(paths, "_walk_size_totals", one_too_many)
+    assert verify._outcome(lambda: _check_consecutive(4, 2, _ideals_and_cores)) == (
+        False, "invariant failed: path DP counts 10 generalized (4,2) paths, multi_catalan says 9"
     )
 
 
@@ -353,7 +374,7 @@ def test_a_walk_that_yields_a_non_ideal_or_a_repeat_fails_cores_ok(monkeypatch):
     # the path images are checked pointwise, not against the walk, so only
     # the hook test sees the non-ideal
     assert _check_consecutive(3, 1, _ideals_and_cores) == (
-        False, "paths=5 ideals=5 multi_catalan=5 bijection=yes cores ok=False")
+        False, "ideals=5 paths=5 formula=5 cores ok=False total size: paths=10 cores=10 bijection=yes")
     # a repeated ideal: every core passes the hook test, but two are equal
     walks[3, 5] = [[], [1], [1, 2], [1, 2, 4], [1, 2, 4, 7], [1], [2]]
     assert _check_pair(3, 5, _ideals_and_cores) == (
@@ -409,7 +430,8 @@ def test_a_shared_poset_fails_both_of_its_instances(monkeypatch):
                 f"consecutive (3,1): {_check_consecutive(3, 1, cores_fail_for_3_4)[1]}"]
     assert expected == [
         "pair (3,4): ideals=5 paths=5 formula=5 cores ok=False total size: paths=10 cores=10",
-        "consecutive (3,1): paths=5 ideals=5 multi_catalan=5 bijection=yes cores ok=False"]
+        "consecutive (3,1): ideals=5 paths=5 formula=5 cores ok=False total size: paths=10 "
+        "cores=10 bijection=yes"]
     for jobs in (1, 2):
         assert equinumerosity_suite(10, 5, 2, jobs=jobs).failures == expected, jobs
 
