@@ -374,6 +374,10 @@ def main(argv=None) -> int:
     if not hasattr(args, "func"):
         parser.print_help()
         return 1
+    # a generator closed as a MemoryError unwinds can fail to close for want of
+    # memory too; the one line below says so already
+    hook = sys.unraisablehook
+    sys.unraisablehook = lambda u: None if isinstance(u.exc_value, MemoryError) else hook(u)
     try:
         return args.func(args)
     except MemoryError:
@@ -381,12 +385,19 @@ def main(argv=None) -> int:
         # with no memory left; reported after the handler, which lets go of the
         # frames that ran out
         pass
+    except SystemError as exc:
+        # CPython can lose a MemoryError while unwinding and raise this instead;
+        # it is named as what it is, not as out of memory
+        print(f"simcores: interpreter error: SystemError: {exc}", file=sys.stderr)
+        return 1
     except InvariantError as exc:
         print(f"simcores: internal invariant failed: {exc}", file=sys.stderr)
         return 2
     except (SimcoresError, ValueError, OSError) as exc:
         print(f"simcores: {exc}", file=sys.stderr)
         return 1
+    finally:
+        sys.unraisablehook = hook
     print("simcores: out of memory", file=sys.stderr)
     return 1
 

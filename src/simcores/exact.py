@@ -1,16 +1,15 @@
 """Exact integer combinatorics and determinants over Z and Z[q].
 
-Matrices are plain sequences of row sequences.  Determinants over Z use
-fraction-free (Bareiss) elimination at every dimension; every division in
-the elimination is exact by construction and checked.  Determinants over
-Z[q] are reduced to one determinant over Z by Kronecker substitution.
+Matrices are plain sequences of row sequences, square and upper Hessenberg
+(zero below the subdiagonal), as the paper's determinants are; any other
+raises ValueError.  One expansion along the last column, with no division,
+takes every determinant; over Z[q] it runs on Kronecker-packed integers.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import InvariantError
 from .qpoly import QPolynomial
 
 
@@ -32,61 +31,49 @@ def catalan_number(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def _check_square(rows) -> None:
+def _check_hessenberg(rows) -> None:
     n = len(rows)
-    for r in rows:
+    for i, r in enumerate(rows):
         if len(r) != n:
-            raise ValueError(f"matrix is not square: {n} rows, a row of length {len(r)}")
+            raise ValueError(f"matrix is not square: {n} rows, row {i} has length {len(r)}")
+        if any(r[:max(i - 1, 0)]):
+            raise ValueError(f"not upper Hessenberg: row {i} is nonzero below the subdiagonal")
 
 
-def _det_bareiss(rows) -> int:
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign = 1
-    prev = 1
-    if not n:
-        return prev
-    for k in range(n - 1):
-        if not m[k][k]:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot, pivot_row = m[k][k], m[k]
-        for i in range(k + 1, n):
-            row = m[i]
-            lead = row[k]
-            for j in range(k + 1, n):
-                q, r = divmod(row[j] * pivot - lead * pivot_row[j], prev)
-                if r:
-                    raise InvariantError(f"inexact integer division by {prev} in elimination")
-                row[j] = q
-            row[k] = 0
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+def _hessenberg_det(rows) -> int:
+    """Expands each leading block along its last column: with D_0 = 1,
+    D_{j+1} = sum_{i<=j} (-1)^(j-i) h_ij (h_{i+1,i} ... h_{j,j-1}) D_i, the
+    signed product of subdiagonal entries carried as i falls, until it is 0."""
+    minors = [1]
+    for j in range(len(rows)):
+        total, sub = 0, 1
+        for i in range(j, -1, -1):
+            total += rows[i][j] * sub * minors[i]
+            sub *= -rows[i][i - 1] if i else 0
+            if not sub:
+                break
+        minors.append(total)
+    return minors[-1]
 
 
 def det_exact(rows) -> int:
-    """Exact determinant of a square integer matrix; dimension 0 gives 1."""
-    _check_square(rows)
-    return _det_bareiss(rows)
+    """Exact determinant of a square upper Hessenberg integer matrix; 1 at dimension 0."""
+    _check_hessenberg(rows)
+    return _hessenberg_det(rows)
 
 
 def det_qpoly(rows) -> QPolynomial:
-    """Exact determinant of a square matrix of QPolynomial (or int) entries.
+    """Exact determinant of a square upper Hessenberg matrix of QPolynomial or int entries.
 
     Kronecker substitution: every coefficient of the determinant is bounded
     in absolute value by bound = prod_i sum_j ||m_ij||_1 (the permanent of
     the entrywise 1-norms is at most that product), so with
     B = bound.bit_length() + 1 the integer determinant at q = 2^B, computed
-    over Z by Bareiss, holds each coefficient as one balanced base-2^B digit.
-    Evaluation is a ring homomorphism, so the unpacked polynomial is exact.
+    over Z by the Hessenberg expansion, holds each coefficient as one
+    balanced base-2^B digit.  Evaluation is a ring homomorphism, so the
+    unpacked polynomial is exact.
     """
-    _check_square(rows)
+    _check_hessenberg(rows)
     coeffs = [[(e if isinstance(e, QPolynomial) else QPolynomial((e,))).coeffs for e in r]
               for r in rows]
     bound = 1
@@ -102,7 +89,7 @@ def det_qpoly(rows) -> QPolynomial:
                 acc = (acc << shift) + a
             row.append(acc)
         evaluated.append(row)
-    value = _det_bareiss(evaluated)
+    value = _hessenberg_det(evaluated)
     mask, half = (1 << shift) - 1, 1 << (shift - 1)
     digits = []
     while value:
@@ -117,14 +104,15 @@ def det_qpoly(rows) -> QPolynomial:
 def hessenberg_catalan_det(n: int) -> int:
     """det of the (n-1)x(n-1) matrix with entry C(j+1, i-j+1); equals C_n.
 
-    The matrix is Hessenberg: the subdiagonal is all ones and everything
-    below it vanishes, which is what drives the alternating-sum recursion
-    for Catalan numbers.
+    That matrix is lower Hessenberg: the superdiagonal is all ones and
+    everything above it vanishes, which is what drives the alternating-sum
+    recursion for Catalan numbers.  Its transpose, built here, is upper
+    Hessenberg and has the same determinant.
     """
     if n < 1:
         raise ValueError(f"hessenberg_catalan_det requires n >= 1, got {n}")
     rows = [
-        [binomial(j + 1, i - j + 1) for j in range(1, n)]
-        for i in range(1, n)
+        [binomial(j + 1, i - j + 1) for i in range(1, n)]
+        for j in range(1, n)
     ]
     return det_exact(rows)

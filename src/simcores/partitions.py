@@ -90,12 +90,6 @@ class Partition:
     def __repr__(self) -> str:
         return f"Partition({list(self.parts)})"
 
-    def contains(self, other: "Partition") -> bool:
-        """Componentwise containment (the subpartition order)."""
-        if len(other.parts) > len(self.parts):
-            return False
-        return all(o <= s for o, s in zip(self.parts, other.parts))
-
     def column_lengths(self) -> tuple[int, ...]:
         """Length of each column, i.e. the conjugate partition's parts."""
         cols: list[int] = []

@@ -395,6 +395,51 @@ def test_running_out_of_memory_exits_1_with_one_line(capsys, monkeypatch):
         1, "", "simcores: out of memory\n")
 
 
+def test_a_generator_that_fails_to_close_for_want_of_memory_adds_no_line(capsys, monkeypatch):
+    from simcores import cli
+
+    def closing_fails_with(exc):
+        def gen():
+            try:
+                yield
+            finally:
+                raise exc
+        g = gen()
+        next(g)
+        return g
+
+    def out_of_memory(args):
+        g = closing_fails_with(MemoryError())  # noqa: F841
+        raise MemoryError  # g closes once main lets go of this frame
+
+    unraised = []
+    monkeypatch.setattr(sys, "unraisablehook", unraised.append)
+    monkeypatch.setattr(cli, "cmd_cores", out_of_memory)
+    assert run_cli(capsys, "cores", "--gens", "5,7", "--count-only") == (
+        1, "", "simcores: out of memory\n")
+    assert unraised == [] and sys.unraisablehook == unraised.append
+
+    # any other failure to close still reaches the hook that was in place
+    def leaves_a_value_error(args):
+        closing_fails_with(ValueError("from close"))
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_cores", leaves_a_value_error)
+    assert run_cli(capsys, "cores", "--gens", "5,7", "--count-only") == (0, "", "")
+    assert [str(u.exc_value) for u in unraised] == ["from close"]
+
+
+def test_a_system_error_is_one_line_and_not_called_out_of_memory(capsys, monkeypatch):
+    from simcores import cli
+
+    def lost_exception(args):
+        raise SystemError("error return without exception set")
+
+    monkeypatch.setattr(cli, "cmd_cores", lost_exception)
+    assert run_cli(capsys, "cores", "--gens", "5,7", "--count-only") == (
+        1, "", "simcores: interpreter error: SystemError: error return without exception set\n")
+
+
 def assert_usage_error(capsys, *argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""

@@ -77,33 +77,45 @@ def test_det_rejects_non_square():
         det_exact([[1, 2, 3], [4, 5, 6]])
 
 
+def random_hessenberg(rng, n, entry, zero=0):
+    # upper Hessenberg: zero below the subdiagonal, and about one subdiagonal
+    # entry in four zero as well, which splits the determinant into blocks
+    rows = [[entry() if j >= i - 1 else zero for j in range(n)] for i in range(n)]
+    for i in range(1, n):
+        if rng.random() < 0.25:
+            rows[i][i - 1] = zero
+    return rows
+
+
+def test_det_rejects_a_matrix_that_is_not_upper_hessenberg():
+    for det in (det_exact, det_qpoly):
+        with pytest.raises(ValueError, match="not square: 3 rows, row 1 has length 2"):
+            det([[1, 2, 3], [4, 5], [0, 7, 8]])
+        # one nonzero entry two places below the diagonal
+        rows = [[1, 2, 3, 4], [5, 6, 7, 8], [0, 9, 1, 2], [0, 3, 4, 5]]
+        with pytest.raises(ValueError, match="not upper Hessenberg: row 3"):
+            det(rows)
+        # the same entry as a polynomial
+        rows[3][1] = QPolynomial([0, 1])
+        with pytest.raises(ValueError, match="not upper Hessenberg: row 3"):
+            det(rows)
+    # a zero row hides nothing: the rule reads the given entries
+    with pytest.raises(ValueError, match="not upper Hessenberg: row 2"):
+        det_qpoly([[0, 0, 0], [1, 1, 1], [QPolynomial([2, -1]), 1, 1]])
+
+
 def test_det_matches_permutation_expansion():
     rng = random.Random(20260809)
-    for n in range(8):
-        for _ in range(4):
-            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    for n in range(9):
+        for _ in range(4 if n < 8 else 2):
+            rows = random_hessenberg(rng, n, lambda: rng.randint(-9, 9))
             assert det_exact(rows) == perm_expansion_det(rows)
-
-
-def test_det_bareiss_path():
-    rng = random.Random(7)
-    for n in (7, 8):
-        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        assert det_exact(rows) == perm_expansion_det(rows)
-    # zero leading pivot forces a row swap
-    rows = [[0, 2, 1, 0, 3, 1, 2],
-            [1, 0, 0, 2, 1, 0, 1],
-            [0, 0, 3, 1, 0, 2, 0],
-            [2, 1, 0, 0, 1, 1, 3],
-            [0, 3, 1, 2, 0, 0, 1],
-            [1, 0, 2, 1, 3, 0, 0],
-            [0, 1, 0, 3, 1, 2, 2]]
-    assert det_exact(rows) == perm_expansion_det(rows)
+    # a zero subdiagonal entry splits the determinant into its two diagonal blocks
+    rows = [[2, 1, 3], [0, 5, 7], [0, 4, 6]]
+    assert det_exact(rows) == 2 * (5 * 6 - 7 * 4) == perm_expansion_det(rows)
     # duplicate rows: singular
-    singular = [[1, 2, 3, 4, 5, 6, 7]] * 2 + [
-        [rng.randint(-3, 3) for _ in range(7)] for _ in range(5)
-    ]
-    assert det_exact(singular) == 0
+    rows = [[1, 2, 3, 4], [1, 2, 3, 4], [0, 5, 6, 7], [0, 0, 8, 9]]
+    assert det_exact(rows) == 0 == perm_expansion_det(rows)
 
 
 def test_hessenberg_catalan_examples():
@@ -136,7 +148,7 @@ def test_det_qpoly_matches_permutation_expansion():
 
     for n in range(8):
         for _ in range(2):
-            rows = [[rand_poly() for _ in range(n)] for _ in range(n)]
+            rows = random_hessenberg(rng, n, rand_poly, QPolynomial())
             assert det_qpoly(rows) == perm_expansion_det(rows, zero=QPolynomial())
 
 
@@ -173,7 +185,8 @@ def test_grouped_expansion_is_the_permutation_expansion():
 
 def test_det_qpoly_matches_permutation_expansion_on_wide_entries():
     # coefficients up to 2^80 in size and degrees up to 25 stress the
-    # packing of every entry into one integer at q = 2^B
+    # packing of every entry into one integer at q = 2^B; "dense" means
+    # every entry on or above the subdiagonal is drawn
     rng = random.Random(20261018)
 
     def rand_poly():
@@ -181,11 +194,11 @@ def test_det_qpoly_matches_permutation_expansion_on_wide_entries():
             return QPolynomial()
         return QPolynomial([rng.randint(-2**80, 2**80) for _ in range(rng.randint(1, 26))])
 
-    for n in range(8):
+    for n in range(9):
         for variant in ("dense", "zero row", "zero column"):
             if n == 0 and variant != "dense":
                 continue
-            rows = [[rand_poly() for _ in range(n)] for _ in range(n)]
+            rows = random_hessenberg(rng, n, rand_poly, QPolynomial())
             if variant == "zero row":
                 rows[rng.randrange(n)] = [QPolynomial()] * n
             elif variant == "zero column":

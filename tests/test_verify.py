@@ -6,6 +6,7 @@ import random
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from itertools import zip_longest
 
 import pytest
 
@@ -13,7 +14,7 @@ from simcores import paths, posets, verify
 from simcores.exact import binomial, catalan_number
 from simcores.errors import InvariantError, NonCoprimeError
 from simcores.partitions import Partition, partitions_in_box
-from simcores.paths import diagonal_partition, gd_size_totals
+from simcores.paths import count_rect_paths, diagonal_partition, gd_size_totals
 from simcores.posets import GapPoset, build_gap_poset, consecutive_poset, multi_catalan
 from simcores.qpoly import QPolynomial
 from simcores.verify import (
@@ -58,6 +59,34 @@ def test_qdet_matches_brute_force_in_3x3_box():
         poly = qdet_coarea(p)
         assert poly == subpartition_size_polynomial(p)
         assert poly(1) == kreweras_count(p)
+
+
+def subpartition_size_coefficients(parts):
+    # independent oracle: row by row, ways[v] is the coefficient list of
+    # sum q^(size so far) over fillings of the rows so far whose last row is v;
+    # the next row w <= its part sums ways[v] over v >= w (a suffix sum) and
+    # shifts by q^w
+    ways = [[0]] * parts[0] + [[1]]  # the row above the first caps nothing
+    for bound in parts:
+        grown, acc = [], []
+        for v in range(len(ways) - 1, -1, -1):
+            acc = [a + b for a, b in zip_longest(acc, ways[v], fillvalue=0)]
+            if v <= bound:
+                grown.append([0] * v + acc)
+        ways = grown[::-1]
+    total = []
+    for poly in ways:
+        total = [a + b for a, b in zip_longest(total, poly, fillvalue=0)]
+    return total
+
+
+def test_qdet_of_the_29_31_diagonal_partition_is_the_subpartition_dp():
+    # 30 nonzero parts and degree 420: general fraction-free elimination on
+    # the packed integers took about 34 s at this size, the Hessenberg expansion 0.3 s
+    p = diagonal_partition(29, 31)
+    poly = qdet_coarea(p)
+    assert poly == QPolynomial(subpartition_size_coefficients(p.parts))
+    assert poly(1) == count_rect_paths(29, 31)
 
 
 def full_alternating_catalan_sum(n):
