@@ -3,17 +3,22 @@
 A PowerSeries stores coefficients for x^0 .. x^order as Fractions.  The
 truncation order is an explicit parameter everywhere: binary operations
 truncate to the smaller order, and coefficients beyond the order are
-undefined rather than silently zero.
+undefined rather than silently zero.  `fractions` loads on first use of a
+PowerSeries: integer_sqrt_coefficients, the part the package calls, needs
+none of it.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
+from typing import TYPE_CHECKING
 
 from .errors import ExactDivisionError, InvariantError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class PowerSeries:
@@ -22,6 +27,7 @@ class PowerSeries:
     def __init__(self, coeffs, order: int):
         if order < 0:
             raise ValueError("truncation order must be >= 0")
+        from fractions import Fraction
         c = [Fraction(a) for a in coeffs]
         if len(c) > order + 1:
             c = c[: order + 1]
@@ -80,7 +86,7 @@ class PowerSeries:
     def __mul__(self, other) -> "PowerSeries":
         other = _coerce(other, self.order)
         n = self._common_order(other)
-        out = [Fraction(0)] * (n + 1)
+        out = [0] * (n + 1)  # the constructor makes every entry a Fraction
         for i, a in enumerate(self.coeffs[: n + 1]):
             if a:
                 for j in range(n + 1 - i):
@@ -101,7 +107,7 @@ class PowerSeries:
             )
         n = self._common_order(other)
         inv0 = 1 / other.coeffs[0]
-        out = [Fraction(0)] * (n + 1)
+        out = [0] * (n + 1)
         for i in range(n + 1):
             acc = self.coeffs[i]
             for j in range(1, i + 1):
@@ -122,6 +128,7 @@ class PowerSeries:
             raise ExactDivisionError(
                 f"division by x^{power}: coefficient of x^{bad} is {low[bad]}, not 0"
             )
+        from fractions import Fraction
         c = Fraction(coeff)
         if c == 0:
             raise ZeroDivisionError("division by a zero monomial")
@@ -139,6 +146,7 @@ class PowerSeries:
             raise ExactDivisionError(
                 f"series sqrt requires constant coefficient 1, got {self.coeffs[0]}"
             )
+        from fractions import Fraction
         c = 4 * math.lcm(*(a.denominator for a in self.coeffs))
         powers = list(accumulate(repeat(c, self.order), mul, initial=1))
         scaled = [a.numerator * (cm // a.denominator) for a, cm in zip(self.coeffs, powers)]
@@ -190,6 +198,7 @@ def integer_sqrt_coefficients(coeffs: list[int]) -> list[int]:
 
 
 def _coerce(value, order: int) -> PowerSeries:
+    from fractions import Fraction
     if isinstance(value, PowerSeries):
         return value
     if isinstance(value, (int, Fraction)):

@@ -8,9 +8,9 @@ for the parameter ranges they actually ran.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from operator import mul
 from typing import Callable, Iterable
 
@@ -35,6 +35,17 @@ from .posets import (
 )
 from .qpoly import QPolynomial, q_binomial
 from .series import integer_sqrt_coefficients
+
+
+def __getattr__(name: str):
+    # concurrent.futures pulls in logging, traceback and queue; only a jobs > 1
+    # pool needs it, so it loads on first use.  perfbench's tracer rebinds the
+    # name to time pool tasks, so _run_report reads it through the module.
+    if name == "ThreadPoolExecutor":
+        from concurrent.futures import ThreadPoolExecutor
+        globals()[name] = ThreadPoolExecutor
+        return ThreadPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CheckReport:
@@ -94,7 +105,7 @@ def _run_report(statement: str, tested: str,
         raise ValueError(f"{statement}: the range ({tested}) selects no instances")
     start = time.perf_counter()
     if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with sys.modules[__name__].ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(lambda it: _outcome(it[1]), items))
     else:
         outcomes = [_outcome(fn) for _, fn in items]

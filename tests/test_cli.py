@@ -624,11 +624,36 @@ def test_invariants_stay_checked_under_optimize():
         "simcores: internal invariant failed: cycle-lemma division must be exact for coprime sides\n")
 
 
-def test_cli_import_leaves_dataclasses_and_inspect_out():
+def _probe(code: str) -> list:
     src = str(Path(simcores.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, simcores.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    done = subprocess.run([sys.executable, "-c", probe],
+    done = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    return json.loads(done.stdout)
+
+
+def test_cli_import_leaves_unused_stdlib_out():
+    # dataclasses and inspect, the thread pool (with logging) and fractions
+    # (with decimal) cost start-up time that almost no command uses
+    unused = ["concurrent.futures", "dataclasses", "decimal", "fractions", "inspect", "logging"]
+    loaded = _probe(
+        "import json, sys\n"
+        f"unused = {unused!r}\n"
+        "import simcores\n"
+        "after_package = [m for m in unused if m in sys.modules]\n"
+        "import simcores.cli\n"
+        "print(json.dumps([after_package, [m for m in unused if m in sys.modules]]))\n")
+    assert loaded == [[], []]
+
+
+def test_power_series_loads_fractions_on_first_use():
+    before, after, root = _probe(
+        "import json, sys\n"
+        "import simcores.series as series\n"
+        "before = 'fractions' in sys.modules\n"
+        "root = series.PowerSeries([1], 3).sqrt()\n"
+        "after = 'fractions' in sys.modules\n"
+        "print(json.dumps([before, after, [repr(a) for a in root.coeffs]]))\n")
+    assert (before, after) == (False, True)
+    assert root == ["Fraction(1, 1)"] + ["Fraction(0, 1)"] * 3
