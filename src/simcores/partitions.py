@@ -11,7 +11,7 @@ from itertools import accumulate, islice
 from operator import index, sub
 from typing import Iterable, Iterator
 
-from .errors import EnumerationCapError, InvariantError, NotACoreError
+from .errors import EnumerationCapError, NotACoreError
 
 
 class CoreModuli(tuple):
@@ -137,8 +137,9 @@ class Partition:
         if found is not None:
             raise NotACoreError(self.parts, *found)
 
-    def _hook_mask(self) -> int:
-        """Bitmask with bit h set for every hook length h of the diagram.
+    def _first_divisible_hook(self, generators: Iterable[int]) -> tuple[int, int] | None:
+        """First (hook, generator) in row-major, increasing-generator order
+        with the generator dividing the hook; None for a simultaneous core.
 
         Cell (i, j), 0-indexed, has hook arm + leg + 1 = (parts[i] - j - 1)
         + (cols[j] - i - 1) + 1: a column term cols[j] + w - 1 - j less a row
@@ -148,44 +149,27 @@ class Partition:
         its term falls below bit 0.  The columns of length i + 1 are
         parts[i+1] <= j < parts[i], whose terms are one run of bits just
         above row i's term, so the mask takes O(rows) integer operations.
-        """
-        parts = self.parts
-        if not parts:
-            return 0
-        w = parts[0]
-        columns = shorter = 0
-        row_terms = []
-        for i in range(len(parts) - 1, -1, -1):
-            part = parts[i]
-            term = w + i - part
-            columns |= ((1 << (part - shorter)) - 1) << (term + 1)
-            row_terms.append(term)
-            shorter = part
-        hooks = 0
-        for term in row_terms:
-            hooks |= columns >> term
-        return hooks
-
-    def _first_divisible_hook(self, generators: Iterable[int]) -> tuple[int, int] | None:
-        """First (hook, generator) in row-major, increasing-generator order
-        with the generator dividing the hook; None for a simultaneous core.
-
-        The hook bitmask is tested against the moduli's multiples all at
-        once.  Only a partition that fails is scanned cell by cell, to name
-        its first offending hook.
+        Each row's hooks, ANDed with the moduli's multiples, are tested
+        longest row first; hooks strictly decrease along a row, so the
+        highest bit of the first row that hits is its first offending cell.
         """
         gens = CoreModuli(generators)
         parts = self.parts
-        if not parts or not self._hook_mask() & gens.multiples_below(parts[0] + len(parts)):
+        if not parts:
             return None
-        for h in self.hooks():
-            for g in gens:
-                if h % g == 0:
-                    return h, g
-        raise InvariantError(
-            f"the hook bitmask of {list(parts)} has a multiple of {list(gens)} "
-            "that the cell scan does not find"
-        )
+        w = parts[0]
+        multiples = gens.multiples_below(w + len(parts))
+        columns = shorter = 0
+        for i in range(len(parts) - 1, -1, -1):
+            part = parts[i]
+            columns |= ((1 << (part - shorter)) - 1) << (w + i - part + 1)
+            shorter = part
+        for i, part in enumerate(parts):
+            hit = (columns >> (w + i - part)) & multiples
+            if hit:
+                h = hit.bit_length() - 1
+                return h, next(g for g in gens if h % g == 0)
+        return None
 
     def first_column_hooks(self) -> frozenset[int]:
         """The set {parts[i] + k - 1 - i}: hook lengths of the first column."""

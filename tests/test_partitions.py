@@ -135,17 +135,12 @@ def test_column_lengths_match_the_direct_definition():
             assert Partition(parts).column_lengths() == expected, parts
 
 
-def hook_set_mask(grid):
-    return sum(1 << h for h in {h for row in grid for h in row})
-
-
 def test_hook_bitmask_agrees_with_a_cell_scan():
     gen_sets = [gens for size in (1, 2, 3) for gens in combinations(range(1, 10), size)]
     for n in range(15):
         for parts in all_partitions_of(n):
             p = Partition(parts)
             grid = direct_hook_grid(p)
-            assert p._hook_mask() == hook_set_mask(grid), parts
             for gens in gen_sets:
                 found = first_divisible_by_scan(grid, gens)
                 assert p.is_multicore(gens) == (found is None), (parts, gens)
@@ -160,7 +155,18 @@ def test_hook_bitmask_agrees_with_a_cell_scan():
     rng = random.Random(20141)
     for _ in range(500):
         p = Partition(sorted((rng.randint(1, 60) for _ in range(rng.randint(1, 40))), reverse=True))
-        assert p._hook_mask() == hook_set_mask(direct_hook_grid(p)), p
+        grid = direct_hook_grid(p)
+        for gens in ((2,), (3, 7), (5, 11, 13)):
+            assert p._first_divisible_hook(gens) == first_divisible_by_scan(grid, gens), (p, gens)
+    # 500 to 1,000 rows: for some single moduli the first offender sits
+    # dozens of rows and over a thousand cells into row-major order, and one
+    # above the largest hook finds none after searching every row
+    for _ in range(3):
+        p = Partition(sorted((rng.randint(1, 60) for _ in range(rng.randint(500, 1000))), reverse=True))
+        grid = direct_hook_grid(p)
+        top = grid[0][0] + 1
+        for gens in [(2,), (3, 7), (5, 11, 13), *((g,) for g in range(2, top + 1))]:
+            assert p._first_divisible_hook(gens) == first_divisible_by_scan(grid, gens), (len(p), gens)
 
 
 def test_hook_bitmask_edge_cases():
