@@ -177,31 +177,30 @@ def cmd_poset(args) -> int:
     else:
         print(f"generators: {', '.join(map(str, poset.generators))}")
         print(f"gaps ({len(poset.gaps)}): {', '.join(map(str, poset.gaps))}")
-        print(f"covers ({len(poset.covers)}):")
-        for a, b in poset.covers:
+        covers = poset.covers
+        print(f"covers ({len(covers)}):")
+        for a, b in covers:
             print(f"  {a} > {b}")
     return 0
 
 
 def _listing(args, params: dict, count, enumerate_items, *, key: str, noun: str, kind: str,
-             what: str, to_json, to_text, totals=lambda items: {}, count_totals=None,
-             write=None) -> int:
+             what: str, to_json, to_text, totals=lambda items: {}, write=None) -> int:
     """The count, list, JSON and round-trip route of every listing command.
 
     `--from-file` is read before any work, `--count-only` counts without
     enumerating, `--max-items N` fails a count or a listing past N items, and
     anything else enumerates once under the listing cap.  The items are named
     `key` in JSON, `noun` in the count line, `kind` in the round-trip verdict
-    and `what` in the count's cap error; `totals(items)` adds named totals,
-    `count_totals()`, when given, replaces `count()` with (count, the same
-    named totals) for `--count-only`, and `write(items)`, when given,
-    replaces the printed listing.
+    and `what` in the count's cap error; `count()` returns (count, named
+    totals), `totals(items)` adds the same named totals to a listing, and
+    `write(items)`, when given, replaces the printed listing.
     """
     if args.from_file:
         with open(args.from_file) as fh:
             recorded = json.load(fh)
     elif args.count_only:
-        n, extra = count_totals() if count_totals else (count(), {})
+        n, extra = count()
         if args.max_items is not None and n > args.max_items:
             raise EnumerationCapError(what, args.max_items)
         if args.format == "json":
@@ -244,7 +243,7 @@ def _listing(args, params: dict, count, enumerate_items, *, key: str, noun: str,
 def cmd_ideals(args) -> int:
     poset = build_gap_poset(args.gens)
     return _listing(
-        args, {"generators": list(poset.generators)}, poset.count_lower_ideals,
+        args, {"generators": list(poset.generators)}, lambda: (poset.count_lower_ideals(), {}),
         lambda cap: map(sorted, poset.iter_lower_ideals(cap)),
         key="ideals", noun="lower ideals", kind="ideals",
         what=f"lower ideals of P_{list(poset.generators)}",
@@ -258,25 +257,19 @@ def cmd_cores(args) -> int:
     # walk, so ideal_to_core's re-check and sort are skipped
     poset = build_gap_poset(args.gens)
 
-    def count_totals():
-        count, total_size = poset.core_size_totals()
-        return count, {"total_size": total_size}
-
-    sizes: list[int] = []
-
-    def cores(cap):
-        # each core as its parts tuple; its size is read off the same stream
-        for _, parts, size, _ in poset.iter_core_rows(cap):
-            sizes.append(size)
-            yield parts
+    def count():
+        if not args.total_size:
+            return poset.count_lower_ideals(), {}
+        n, total_size = poset.core_size_totals()
+        return n, {"total_size": total_size}
 
     return _listing(
-        args, {"generators": list(poset.generators)}, poset.count_lower_ideals, cores,
+        args, {"generators": list(poset.generators)}, count,
+        lambda cap: (parts for _, parts, _, _ in poset.iter_core_rows(cap)),
         key="cores", noun="simultaneous cores", kind="cores",
         what=f"lower ideals of P_{list(poset.generators)}",
         to_json=list, to_text=lambda parts: "(" + ", ".join(map(str, parts)) + ")",
-        totals=lambda _: {"total_size": sum(sizes)} if args.total_size else {},
-        count_totals=count_totals if args.total_size else None,
+        totals=lambda cores: {"total_size": sum(map(sum, cores))} if args.total_size else {},
     )
 
 
@@ -291,7 +284,7 @@ def _svg_writer(path: str | None, labels: bool = False):
 
 def cmd_paths_rect(args) -> int:
     return _listing(
-        args, {"s": args.s, "t": args.t}, lambda: count_rect_paths(args.s, args.t),
+        args, {"s": args.s, "t": args.t}, lambda: (count_rect_paths(args.s, args.t), {}),
         lambda cap: enumerate_rect_paths(args.s, args.t, max_items=cap),
         key="paths", noun="paths", kind="rect paths", what=rect_paths_name(args.s, args.t),
         to_json=lambda path: path.to_json(), to_text=lambda path: " ".join(path.steps),
@@ -301,7 +294,7 @@ def cmd_paths_rect(args) -> int:
 
 def cmd_paths_gd(args) -> int:
     return _listing(
-        args, {"n": args.n, "k": args.k}, lambda: count_gd(args.n, args.k),
+        args, {"n": args.n, "k": args.k}, lambda: (count_gd(args.n, args.k), {}),
         lambda cap: enumerate_gd(args.n, args.k, max_items=cap),
         key="paths", noun="paths", kind="generalized paths",
         what=gd_paths_name(args.n, args.k),

@@ -33,7 +33,7 @@ _DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 class GapPoset:
     """Immutable poset of the gaps of a numerical semigroup."""
 
-    __slots__ = ("generators", "gaps", "_gapset", "_gapmask", "_cover_tables")
+    __slots__ = ("generators", "gaps", "_gapset", "_gapmask")
 
     def __init__(self, generators: Iterable[int]):
         self.generators = gens = _finite_moduli(generators)
@@ -41,10 +41,6 @@ class GapPoset:
         bits = format(self._gapmask, "b")[::-1]  # bits[m] is "1" exactly when m is a gap
         self.gaps = tuple(compress(range(len(bits)), bits.encode().translate(_DIGIT_VALUES)))
         self._gapset = frozenset(self.gaps)
-        # (lower covers of every gap in generator order, all cover pairs):
-        # built on first read by _covers_table, so a poset whose caller only
-        # asks about gaps never pays for them
-        self._cover_tables = None
 
     def is_representable(self, m: int) -> bool:
         """Whether m is a non-negative combination of the generators."""
@@ -66,28 +62,18 @@ class GapPoset:
             raise ValueError(f"{b} and {a} must both be gaps of {list(self.generators)}")
         return b == a or (a - b > 0 and self.is_representable(a - b))
 
-    def _covers_below(self, a: int) -> tuple[int, ...]:
-        return tuple(a - s for s in self.generators if (a - s) in self._gapset)
-
-    def _covers_table(self) -> tuple[dict[int, tuple[int, ...]], tuple[tuple[int, int], ...]]:
-        tables = self._cover_tables
-        if tables is None:
-            # built into locals and published by one assignment: --jobs threads
-            # share the posets build_gap_poset caches, and a thread that
-            # builds them too only repeats the same work
-            lower = {a: self._covers_below(a) for a in self.gaps}
-            tables = (lower, tuple((a, c) for a in self.gaps for c in lower[a]))
-            self._cover_tables = tables
-        return tables
-
     @property
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Every cover pair (a, b), a covering b, by increasing a, then in generator order."""
-        return self._covers_table()[1]
+        """Every cover pair (a, b), a covering b, by increasing a, then in generator order.
+
+        Computed on each read; a caller that needs it twice keeps it.
+        """
+        return tuple((a, c) for a in self.gaps for c in self.lower_covers(a))
 
     def lower_covers(self, a: int) -> tuple[int, ...]:
-        covers = self._covers_table()[0].get(a)
-        return covers if covers is not None else self._covers_below(a)
+        """The gaps a - g, in generator order, for any int a."""
+        gapset = self._gapset
+        return tuple(a - g for g in self.generators if a - g in gapset)
 
     def is_lower_ideal(self, subset: Iterable[int]) -> bool:
         """Whether a set of values is a set of gaps closed downward (is_lower_ideal_mask)."""
@@ -151,13 +137,13 @@ class GapPoset:
         and one larger gap pushed.
         """
         gaps = self.gaps
-        lower = self._covers_table()[0]
         index = {g: i for i, g in enumerate(gaps)}
-        need = [sum(1 << index[c] for c in lower[g]) for g in gaps]
+        lower = [[index[c] for c in self.lower_covers(g)] for g in gaps]
+        need = [sum(1 << c for c in cs) for cs in lower]
         ups: list[list[int]] = [[] for _ in gaps]
-        for i, g in enumerate(gaps):
-            for c in lower[g]:
-                ups[index[c]].append(i)
+        for i, cs in enumerate(lower):
+            for c in cs:
+                ups[c].append(i)
         # complement of the upper covers of each gap, as a bitmask
         not_above = [~sum(1 << u for u in us) for us in ups]
         mask = 0
@@ -284,9 +270,7 @@ class GapPoset:
 
     def to_dot(self, transitive_reduce: bool = False) -> str:
         """Hasse-style DOT digraph; edges point from each gap up to its covers."""
-        edges = self.covers
-        if transitive_reduce:
-            edges = self._reduced_covers()
+        edges = self._reduced_covers() if transitive_reduce else self.covers
         lines = ["digraph gap_poset {", "  rankdir=BT;", "  node [shape=circle];"]
         for g in self.gaps:
             lines.append(f"  {g};")
@@ -297,11 +281,12 @@ class GapPoset:
 
     def _reduced_covers(self) -> tuple[tuple[int, int], ...]:
         # drop (a, b) whenever some chain a > c > b exists through other covers
+        covers = self.covers
         above: dict[int, set[int]] = {g: set() for g in self.gaps}
-        for a, b in self.covers:
+        for a, b in covers:
             above[b].add(a)
         kept = []
-        for a, b in self.covers:
+        for a, b in covers:
             if not any(a in above[c] for c in above[b] if c != a):
                 kept.append((a, b))
         return tuple(kept)

@@ -368,9 +368,7 @@ def test_walk_label_masks_of_rectangle_paths_are_the_ideals():
     # the mask mode is generic: with Anderson's labels, the rectangle paths
     # map one to one onto the lower ideals of the (s, t) gap poset
     for s, t in coprime_pairs(16):
-        labels = [[sum(1 << a for a in _rect_labels_below(s, t, x, h)) for h in range(s + 1)]
-                  for x in range(t)]
-        masks = list(_lattice_walks(RectPath.moves, (t, s), labels))
+        masks = list(_lattice_walks(RectPath.moves, (t, s), rect_label_table(s, t)))
         poset = build_gap_poset((s, t))
         ideals = {sum(1 << g for g in ideal) for ideal in poset.iter_lower_ideals()}
         assert len(masks) == count_rect_paths(s, t), (s, t)

@@ -115,13 +115,12 @@ def test_a_poset_answers_gap_questions_without_building_its_covers():
         assert list(poset.gaps) == gaps
         assert poset.frobenius_number == (gaps[-1] if gaps else None)
         assert [m for m in range(-3, 201) if not poset.is_representable(m)] == [-3, -2, -1] + gaps
-        assert poset._cover_tables is None, gens
 
 
-def test_covers_built_on_first_read_are_safe_across_threads():
+def test_shared_posets_read_the_same_across_threads():
     gens_list = [(5, 7, 13), (7, 9), (6, 7, 8), (4, 9, 11)] * 8
     expected = {gens: cover_views(GapPoset(gens)) for gens in set(gens_list)}
-    # fresh, shared posets whose covers every thread races to build first
+    # shared posets that every thread walks and reads at once
     shared = {gens: GapPoset(gens) for gens in expected}
 
     def read(gens):
@@ -167,6 +166,35 @@ def test_covers_definition():
     }
     assert set(poset.covers) == expected
     assert set(poset.lower_covers(16)) == {3, 9, 11}
+
+
+def test_covers_match_brute_force_in_order_and_reduce_to_the_hasse_diagram():
+    # pairs, runs, sets with one generator the sum of two others, and sets
+    # holding 1, which have no gaps
+    sets = [(2, 3), (3, 4), (3, 5), (5, 7), (4, 9), (7, 9), (3, 4, 5), (4, 5, 6), (5, 6, 7),
+            (7, 8, 9, 10), (6, 7, 8, 9, 10, 11), (4, 5, 9), (3, 5, 8), (5, 7, 12),
+            (5, 7, 13), (4, 9, 11), (1, 4), (1,)]
+    for gens in sets:
+        poset = GapPoset(gens)
+        gaps = brute_gaps(gens, 200)
+        gapset = set(gaps)
+        assert list(poset.gaps) == gaps, gens
+        # covers by increasing a, then in increasing generator order
+        assert poset.covers == tuple(
+            (a, a - g) for a in gaps for g in gens if a - g in gapset), gens
+        top = gaps[-1] if gaps else 0
+        for a in range(-1, top + 3):
+            assert poset.lower_covers(a) == tuple(a - g for g in gens if a - g in gapset), (gens, a)
+        # Hasse diagram of the order "a - b is representable": b below a with
+        # no gap strictly between them in that order
+        below = {a: {b for b in gaps if b < a and a - b not in gapset} for a in gaps}
+        hasse = {(a, b) for a in gaps for b in below[a]
+                 if not any(b in below[c] for c in below[a])}
+        dot = poset.to_dot(transitive_reduce=True)
+        edges = [tuple(map(int, line.strip(" ;").split(" -> ")))
+                 for line in dot.splitlines() if "->" in line]
+        assert len(edges) == len(set(edges)), gens
+        assert {(a, b) for b, a in edges} == hasse, gens
 
 
 def test_order_is_transitive_closure_of_covers():
