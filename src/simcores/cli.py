@@ -253,8 +253,9 @@ def cmd_ideals(args) -> int:
 
 def cmd_cores(args) -> int:
     # counted (and, with --total-size, sized) by the lower-ideal DP, listed
-    # through the hook-set bijection, each core built row by row on the ideal
-    # walk, so ideal_to_core's re-check and sort are skipped
+    # through the hook-set bijection by GapPoset.iter_core_rows, which builds
+    # each core's parts row by row on the ideal walk, so ideal_to_core's
+    # re-check and sort are skipped
     poset = build_gap_poset(args.gens)
 
     def count():
@@ -265,7 +266,7 @@ def cmd_cores(args) -> int:
 
     return _listing(
         args, {"generators": list(poset.generators)}, count,
-        lambda cap: (parts for _, parts, _, _ in poset.iter_core_rows(cap)),
+        lambda cap: (parts for parts, _, _ in poset.iter_core_rows(cap)),
         key="cores", noun="simultaneous cores", kind="cores",
         what=f"lower ideals of P_{list(poset.generators)}",
         to_json=list, to_text=lambda parts: "(" + ", ".join(map(str, parts)) + ")",

@@ -194,50 +194,6 @@ def partition_from_hooks(hooks: Iterable[int]) -> Partition:
     return Partition._from_parts(tuple(list(map(sub, hs, range(len(hs) - 1, -1, -1)))))
 
 
-def cores_row_by_row(hook_lists: Iterable[list[int]], top: int,
-                     ) -> Iterator[tuple[list[int], tuple[int, ...], int, int]]:
-    """(hooks, parts, size, hook mask) of partition_from_hooks(hooks) for each list read.
-
-    Every list read must hold distinct positive hooks below `top` in
-    increasing order, and be the list read before it cut to some length and
-    extended by one larger hook, as GapPoset's lower-ideal walk yields them.
-    Hook j of a list is row j of its partition, counted from the shortest,
-    as hooks[j] - j, so the one new hook adds a new longest row p.  That row
-    leaves the arms and legs of the rows below it unchanged, and its cell in
-    column i has hook p + (c_i - i), where c_i is the length of column i of
-    the rows below (0 past their width).  So four values kept per depth give
-    each new row in O(1) integer operations: the row, the running size, the
-    hook mask, and a mask with bit top + c_i - i set for each column
-    0 <= i <= top; only the copy of the rows into the parts tuple takes
-    O(rows).  The new row's hooks are that mask shifted right by top - p:
-    column p, with c_p = 0, lands on bit 0 and the columns past it fall
-    below.  The row adds 1 to c_i for the columns i < p, whose bits are
-    those above top - p, so the mask doubles its part above that bit.  The
-    values live in arrays indexed by depth, preallocated for the at most
-    top - 1 hooks, so a cut just reads them at the shorter depth.  Only row
-    and column lengths are read, so the hook mask tests a core
-    independently of whether the hooks form a lower ideal.
-    """
-    # rows[top - 1 - j] holds row j, so the parts of depth d are rows[top - d:]
-    rows = [0] * top
-    columns = [0] * (top + 1)  # columns[d]: the column-term mask of the first d rows
-    columns[0] = (1 << (top + 1)) - 1
-    masks = [0] * (top + 1)  # masks[d]: the hook mask of the first d rows
-    sizes = [0] * (top + 1)  # sizes[d]: the size of the first d rows
-    for hooks in hook_lists:
-        depth = len(hooks)
-        if depth:
-            d = depth - 1
-            p = hooks[d] - d
-            cut = top - p
-            col = columns[d]
-            masks[depth] = masks[d] | (col >> cut) & ~1
-            columns[depth] = col + (col >> (cut + 1) << (cut + 1))
-            sizes[depth] = sizes[d] + p
-            rows[top - depth] = p
-        yield hooks, tuple(rows[top - depth:]), sizes[depth], masks[depth]
-
-
 def subpartitions(p: Partition, max_items: int | None = None) -> Iterator[Partition]:
     """All partitions contained in p, the empty partition and p included.
 

@@ -17,7 +17,7 @@ from operator import mul
 from typing import Iterable, Iterator
 
 from .errors import EnumerationCapError, InfinitePosetError, InvariantError
-from .partitions import CoreModuli, Partition, cores_row_by_row, partition_from_hooks
+from .partitions import CoreModuli, Partition, partition_from_hooks
 
 # listings stop with EnumerationCapError past LIST_CAP items, the counting
 # DP past COUNT_CAP states.  A DP state costs about 140 bytes and a residue
@@ -111,15 +111,43 @@ class GapPoset:
         yield from map(frozenset, self._walk_lower_ideals(max_items))
 
     def iter_core_rows(self, max_items: int | None = LIST_CAP
-                       ) -> Iterator[tuple[list[int], tuple[int, ...], int, int]]:
-        """(ideal, parts, size, hook mask) of every lower ideal's core, with no Partition built.
+                       ) -> Iterator[tuple[tuple[int, ...], int, int]]:
+        """(parts, size, hook mask) of every lower ideal's core, with no Partition built.
 
-        The cores are built row by row on the lower-ideal walk
-        (partitions.cores_row_by_row), in iter_lower_ideals order and under
-        its cap; no ideal check is made on the way.
+        In iter_lower_ideals order and under its cap; no ideal check is made
+        on the way.  Each list the walk yields is the one before cut to some
+        depth d and extended by one larger gap h, and gap j of a list is row
+        j of the core (partition_from_hooks), counted from the shortest, so
+        the new gap adds a new longest row p = h - d.  That row leaves the
+        arms and legs of the rows below it unchanged, and its cell in column
+        i has hook p + (c_i - i), where c_i is the length of column i of the
+        rows below (0 past their width).  So one state per depth gives each
+        new row in O(1) integer operations besides prepending it to the
+        parts: a mask with bit top + c_i - i set for each column
+        0 <= i <= top, the hook mask, the size and the parts.  The new row's
+        hooks are the column mask shifted right by top - p: column p, with
+        c_p = 0, lands on bit 0 and the columns past it fall below.  The row
+        adds 1 to c_i for the columns i < p, whose bits are those above
+        top - p, so the column mask doubles its part above that bit.  A cut
+        just reads the state at the shorter depth, so only the length and
+        the top gap of each list are read.  Only row and column lengths
+        enter the hook mask, so it tests a core independently of whether
+        the gaps form a lower ideal.
         """
         top = (self.frobenius_number or 0) + 1
-        return cores_row_by_row(self._walk_lower_ideals(max_items), top)
+        # states[d]: (column mask, hook mask, size, parts) of the first d rows;
+        # a lower ideal holds at most top - 1 gaps
+        states = [((1 << (top + 1)) - 1, 0, 0, ())] * (top + 1)
+        for gaps in self._walk_lower_ideals(max_items):
+            depth = len(gaps)
+            if depth:
+                columns, hooks, size, parts = states[depth - 1]
+                p = gaps[-1] - depth + 1
+                cut = top - p
+                states[depth] = (columns + (columns >> (cut + 1) << (cut + 1)),
+                                 hooks | (columns >> cut) & ~1, size + p, (p,) + parts)
+            _, hooks, size, parts = states[depth]
+            yield parts, size, hooks
 
     def _walk_lower_ideals(self, max_items: int | None) -> Iterator[list[int]]:
         """The walk behind iter_lower_ideals: one list of gaps, reused.

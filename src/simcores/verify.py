@@ -407,14 +407,15 @@ def _ideals_and_cores(poset: GapPoset) -> tuple[int, int, bool]:
     """Number of lower ideals, the total size of their cores, and whether
     those cores are pairwise distinct and each passes the hook test for the
     poset's generators.  The ideals are counted, not kept.  Each core's
-    parts, size and hook mask are built row by row on the ideal walk
-    (GapPoset.iter_core_rows), with no Partition and no lower-ideal check: a
-    gap set that is not a lower ideal holds a gap a but not the gap a - g
-    for some generator g, so its core fails the hook test for g.  No hook
-    reaches the largest gap + 1, so one multiples mask serves every core."""
+    parts, size and hook mask come from GapPoset.iter_core_rows, which keeps
+    one state per depth of the ideal walk, with no Partition and no
+    lower-ideal check: a gap set that is not a lower ideal holds a gap a but
+    not the gap a - g for some generator g, so its core fails the hook test
+    for g.  No hook reaches the largest gap + 1, so one multiples mask
+    serves every core."""
     n_ideals = size_sum = all_hooks = 0
     core_parts = set()
-    for _, parts, size, hooks in poset.iter_core_rows():
+    for parts, size, hooks in poset.iter_core_rows():
         n_ideals += 1
         core_parts.add(parts)
         size_sum += size

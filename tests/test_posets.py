@@ -95,19 +95,6 @@ def cover_views(poset):
             poset.to_dot(transitive_reduce=True), poset.to_json_dict())
 
 
-def test_covers_read_the_same_before_and_after_a_walk():
-    for gens in [(5, 7, 13), (4, 5, 9), (3, 5), (6, 7, 8, 9, 10, 11), (1, 4)]:
-        read_first = GapPoset(gens)
-        before = cover_views(read_first)
-        ideals = list(read_first.iter_lower_ideals())
-        assert cover_views(read_first) == before, gens
-        walked_first = GapPoset(gens)
-        assert list(walked_first.iter_lower_ideals()) == ideals, gens
-        assert cover_views(walked_first) == before, gens
-    assert GapPoset((5, 7, 13)).covers == (
-        (6, 1), (8, 3), (8, 1), (9, 4), (9, 2), (11, 6), (11, 4), (16, 11), (16, 9), (16, 3))
-
-
 def test_a_poset_answers_gap_questions_without_building_its_covers():
     for gens in [(5, 7, 13), (5, 7), (4, 5, 6), (1,)]:
         poset = GapPoset(gens)
@@ -653,10 +640,8 @@ def test_cores_built_row_by_row_match_the_sort_and_the_cell_scan():
     n_cores = 0
     for poset in posets:
         rows = poset.iter_core_rows()
-        for (ideal, parts, size, hooks), expected in zip(rows, poset.iter_lower_ideals(),
-                                                         strict=True):
-            core = partition_from_hooks(expected)
-            assert ideal == sorted(expected)
+        for (parts, size, hooks), ideal in zip(rows, poset.iter_lower_ideals(), strict=True):
+            core = partition_from_hooks(ideal)
             assert parts == core.parts and size == core.size, (poset, ideal)
             assert hooks == sum(1 << h for h in set(core.hooks())), (poset, core)
             n_cores += 1
@@ -670,7 +655,21 @@ def test_iter_core_rows_shares_the_walk_cap():
     assert str(err.value) == "lower ideals of P_[5, 7] exceeds the cap of 65; raise the cap to proceed"
     assert len(list(poset.iter_core_rows(max_items=66))) == 66
     # no gaps: only the empty ideal, whose core has no parts and no hooks
-    assert list(build_gap_poset((1, 4)).iter_core_rows()) == [([], (), 0, 0)]
+    assert list(build_gap_poset((1, 4)).iter_core_rows()) == [((), 0, 0)]
+
+
+def test_core_rows_collected_whole_are_their_own_values():
+    # collected first, then checked: an item that held a list the walk goes
+    # on to change would be unhashable, and would read its final state
+    for gens in [(3, 5), (5, 7, 13), (4, 5, 6), (1, 4)]:
+        poset = build_gap_poset(gens)
+        rows = list(poset.iter_core_rows())
+        assert len(set(rows)) == len(rows), gens
+        expected = []
+        for ideal in poset.iter_lower_ideals():
+            core = partition_from_hooks(ideal)
+            expected.append((core.parts, core.size, sum(1 << h for h in set(core.hooks()))))
+        assert rows == expected, gens
 
 
 def test_gap_membership_matches_popoviciu():
