@@ -198,7 +198,10 @@ def _listing(args, params: dict, count, enumerate_items, *, key: str, noun: str,
     """
     if args.from_file:
         with open(args.from_file) as fh:
-            recorded = json.load(fh)
+            try:
+                recorded = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"{args.from_file}: JSON nested too deeply to read") from None
     elif args.count_only:
         n, extra = count()
         if args.max_items is not None and n > args.max_items:

@@ -9,6 +9,7 @@ takes every determinant; over Z[q] it runs on Kronecker-packed integers.
 from __future__ import annotations
 
 import math
+from operator import index
 
 from .qpoly import QPolynomial
 
@@ -57,9 +58,10 @@ def _hessenberg_det(rows) -> int:
 
 
 def det_exact(rows) -> int:
-    """Exact determinant of a square upper Hessenberg integer matrix; 1 at dimension 0."""
+    """Exact determinant of a square upper Hessenberg integer matrix; 1 at dimension 0.
+    Entries are read through operator.index, so a float or a str raises TypeError."""
     _check_hessenberg(rows)
-    return _hessenberg_det(rows)
+    return _hessenberg_det([list(map(index, r)) for r in rows])
 
 
 def det_qpoly(rows) -> QPolynomial:

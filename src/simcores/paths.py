@@ -218,13 +218,13 @@ def _lattice_walks(moves: Mapping[str, tuple[int, int]], target: tuple[int, int]
 
 def _walk_heads(moves: Mapping[str, tuple[int, int]], target: tuple[int, int],
                 labels: Sequence[Sequence[int]] | None) -> tuple[tuple | int, list[tuple]]:
-    """(the empty walk, (dx, dy, heads) per move), where heads[x][h] is the
-    head of the move from column x to height h, as _lattice_walks defines it."""
+    """(the empty walk, (dx, dy, heads) per move that fits in the target), where
+    heads[x][h] is the move's head from column x to height h (_lattice_walks)."""
     tx, ty = target
+    fits = [(name, dx, dy) for name, (dx, dy) in moves.items() if dx <= tx and dy <= ty]
     if labels is None:
-        return (), [(dx, dy, [[(name,)] * (ty + 1)] * (tx + 1))
-                    for name, (dx, dy) in moves.items()]
-    return 0, [(dx, dy, _step_gains(labels, dx, tx)) for dx, dy in moves.values()]
+        return (), [(dx, dy, [[(name,)] * (ty + 1)] * (tx + 1)) for name, dx, dy in fits]
+    return 0, [(dx, dy, _step_gains(labels, dx, tx)) for _, dx, dy in fits]
 
 
 # a lattice point with at most this many walks to the target keeps them in
@@ -385,7 +385,7 @@ def _gd_label_table(n: int, k: int) -> list[list[int]]:
 
     Column x's labels below h are column 0's labels below h - x, each raised by x.
     """
-    by_rise = [sum(1 << label for label in _labels_below(n, k, 0, d)) for d in range(n + 1)]
+    by_rise = [_labels_mask(_labels_below(n, k, 0, d)) for d in range(n + 1)]
     return [[0] * x + [mask << x for mask in by_rise[:n + 1 - x]] for x in range(n)]
 
 
@@ -419,36 +419,42 @@ def _labels_below(n: int, k: int, x: int, h: int) -> range:
     return range(1 + x, 1 + x + max(0, (h - x + k - 2) // k) * (n + k), n + k)
 
 
+def _labels_mask(labels: Sequence[int]) -> int:
+    """The bitmask of a sequence of labels, set byte by byte: linear in the top
+    label, where one OR of 1 << label per label would be quadratic."""
+    bits = bytearray(max(labels, default=0) // 8 + 1)
+    for label in labels:
+        bits[label >> 3] |= 1 << (label & 7)
+    return int.from_bytes(bits, "little")
+
+
 @lru_cache(maxsize=64)
-def _step_labels(n: int, k: int) -> tuple[tuple[int, ...], dict[str, tuple[int, dict]]]:
-    """The run (n, ..., n+k) whose gaps the labels are, and per step name
-    (advance, taken): the step moves the point index y * (n+1) + x by
-    advance, and taken[i] holds the labels the step takes from index i, as
-    _labels_below gives them.  gd_to_ideal fills `taken` on first use, so
-    its size follows the points that paths have visited; an entry is one
-    assignment of a fixed value, so threads may race to fill it."""
-    return tuple(range(n, n + k + 1)), {
+def _step_labels(n: int, k: int) -> tuple[GapPoset, dict[str, tuple[int, dict]]]:
+    """The gap poset of the run (n, ..., n+k), whose gaps the labels are, and
+    per step name (advance, taken): the step moves the point index
+    y * (n+1) + x by advance, and taken[i] holds (labels, mask), the labels
+    the step takes from index i, as _labels_below gives them, and their
+    bitmask.  gd_to_ideal fills `taken` on first use, so its size follows the
+    points that paths have visited; an entry is one assignment of a fixed
+    value, so threads may race to fill it."""
+    return consecutive_poset(n, k), {
         name: (dy * (n + 1) + dx, {}) for name, (dx, dy) in _gd_moves(k).items()}
 
 
-def gd_to_ideal(path: GeneralizedDyckPath, poset: GapPoset | None = None) -> frozenset[int]:
+def gd_to_ideal(path: GeneralizedDyckPath) -> frozenset[int]:
     """Lower ideal of the consecutive poset for {n, ..., n+k} matching the path.
 
     Collects the diagonal_cell_labels of the cells strictly below the
     inflated path, so the all-vertical-first path maps to the full gap set
     and the diagonal-hugging path to the empty ideal; this orientation is
-    the one under which the label sets are downward closed.  The result is
-    checked to be a lower ideal; a failure there (InvariantError) means a
-    labeling bug, not bad input.
+    the one under which the label sets are downward closed.  The OR of the
+    steps' label masks is checked by GapPoset.is_lower_ideal_mask; a failure
+    there (InvariantError) means a labeling bug, not bad input.
     """
     n, k = path.n, path.k
-    run, moves = _step_labels(n, k)
-    if poset is None:
-        poset = consecutive_poset(n, k)
-    elif poset.generators != run:
-        raise ValueError(f"a generalized ({n},{k}) path labels the ideals of "
-                         f"P_{list(run)}, got P_{list(poset.generators)}")
+    poset, moves = _step_labels(n, k)
     labels: list[int] = []
+    mask = 0
     at = 0  # y * (n+1) + x at the current point
     for step in path.steps:
         advance, taken = moves[step]
@@ -459,12 +465,14 @@ def gd_to_ideal(path: GeneralizedDyckPath, poset: GapPoset | None = None) -> fro
             # in the columns it crosses
             y, x = divmod(at, n + 1)
             dx, dy = _gd_moves(k)[step]
-            got = taken[at] = tuple(chain.from_iterable(
+            took = tuple(chain.from_iterable(
                 _labels_below(n, k, cx, y + dy) for cx in range(x, x + dx)))
-        labels += got
+            got = taken[at] = took, _labels_mask(took)
+        labels += got[0]
+        mask |= got[1]
         at += advance
     ideal = frozenset(labels)
-    if not poset.is_lower_ideal(ideal):
+    if not poset.is_lower_ideal_mask(mask):
         raise InvariantError(
             f"label set {sorted(ideal)} from path {list(path.steps)} is not a lower "
             f"ideal of P_{list(poset.generators)}; labeling orientation bug"
@@ -510,7 +518,7 @@ def _walk_size_totals(moves: Mapping[str, tuple[int, int]], target: tuple[int, i
     sum |lambda| and N c to sum K.  Polynomial: O(points * moves) steps.
     """
     tx, ty = target
-    steps = list(moves.values())
+    steps = [(dx, dy) for dx, dy in moves.values() if dx <= tx and dy <= ty]  # the ones that fit
     width = tx + 1
     moments = [(0, 0, 0)] * (width * (ty + 1))  # moments[y * width + x]
     moments[0] = (1, 0, 0)

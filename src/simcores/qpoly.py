@@ -8,6 +8,8 @@ nonzero remainder instead of ever returning an approximation.
 
 from __future__ import annotations
 
+from operator import index
+
 from .errors import ExactDivisionError
 
 
@@ -15,7 +17,8 @@ class QPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        c = [int(a) for a in coeffs]
+        # read through operator.index: a float or a str raises TypeError, not rounds
+        c = list(map(index, coeffs))
         while c and c[-1] == 0:
             c.pop()
         self.coeffs = tuple(c)

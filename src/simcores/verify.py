@@ -382,7 +382,7 @@ def total_core_size_via_paths(s: int) -> int:
     total = 0
     seen = set()  # one int bitmask per ideal: far smaller than the frozensets
     for path in enumerate_gd(s, 2):
-        ideal = gd_to_ideal(path, poset)
+        ideal = gd_to_ideal(path)
         key = sum(1 << g for g in ideal)
         if key in seen:
             raise InvariantError(f"two paths map to the ideal {sorted(ideal)}")

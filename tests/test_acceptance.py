@@ -176,7 +176,7 @@ def test_criterion_10_generalized_dyck_paths():
             for k in range(1, 4):
                 poset = consecutive_poset(n, k)
                 ideals = set(poset.iter_lower_ideals())
-                images = [gd_to_ideal(path, poset) for path in enumerate_gd(n, k)]
+                images = [gd_to_ideal(path) for path in enumerate_gd(n, k)]
                 assert len(set(images)) == len(images), (n, k)
                 assert set(images) == ideals, (n, k)
 

@@ -486,6 +486,20 @@ def test_missing_from_file_exits_1_without_traceback(capsys, monkeypatch, tmp_pa
         assert err.startswith("simcores:") and "missing.json" in err
 
 
+def test_an_over_nested_from_file_is_one_line_and_exit_1(tmp_path):
+    # json.load recurses once per bracket, so this file passes the recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    src = str(Path(simcores.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "simcores", "cores", "--gens", "2,3",
+                           "--from-file", str(deep)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr == f"simcores: {deep}: JSON nested too deeply to read\n"
+
+
 def test_labels_is_a_gd_only_flag(capsys, tmp_path):
     target = tmp_path / "gd.svg"
     code, out, _ = run_cli(capsys, "paths", "gd", "--n", "4", "--k", "3", "--svg", str(target), "--labels")

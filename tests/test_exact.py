@@ -156,6 +156,16 @@ def test_det_qpoly_accepts_int_entries():
     assert det_qpoly([[3, 1], [1, 2]]) == QPolynomial([5])
 
 
+def test_det_entries_must_be_integers():
+    # a float entry is refused, never computed with or rounded
+    with pytest.raises(TypeError):
+        det_exact([[0.1, 0.2], [0.3, 0.4]])
+    with pytest.raises(TypeError):
+        det_qpoly([[2.9]])
+    assert det_exact([[True, 1], [1, 2]]) == 1
+    assert det_qpoly([[True]]) == QPolynomial([1])
+
+
 def leibniz_det(rows, zero):
     # the permutation expansion, grouped by the set of columns the first rows use:
     # row i takes a free column j, and the used columns above j are its inversions

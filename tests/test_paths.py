@@ -2,7 +2,8 @@ import hashlib
 import math
 import re
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 import pytest
 
@@ -238,9 +239,9 @@ def test_inflate_stays_above_diagonal_and_is_injective():
 def test_gd_to_ideal_extremes():
     poset = consecutive_poset(4, 2)
     topmost = GeneralizedDyckPath(4, 2, ["N2", "N2", "E2", "E2"])
-    assert gd_to_ideal(topmost, poset) == frozenset(poset.gaps)
+    assert gd_to_ideal(topmost) == frozenset(poset.gaps)
     hugging = GeneralizedDyckPath(4, 2, ["D1"] * 4)
-    assert gd_to_ideal(hugging, poset) == frozenset()
+    assert gd_to_ideal(hugging) == frozenset()
 
 
 
@@ -261,11 +262,11 @@ def test_gd_to_ideal_raises_on_a_label_set_that_is_not_a_lower_ideal(monkeypatch
         with pytest.raises(InvariantError, match=re.escape(
                 "label set [1, 2, 3, 4, 7] from path ['N2', 'N2', 'E2', 'E2'] is not a lower "
                 "ideal of P_[4, 5, 6]; labeling orientation bug")):
-            gd_to_ideal(topmost, poset)
+            gd_to_ideal(topmost)
     finally:
         monkeypatch.undo()
         paths_mod._step_labels.cache_clear()
-    assert gd_to_ideal(topmost, poset) == frozenset(poset.gaps)
+    assert gd_to_ideal(topmost) == frozenset(poset.gaps)
 
 def reference_cell_labels(n, k):
     # reference: the labelled cells built diagonal by diagonal, y - x = qk + 1
@@ -295,7 +296,6 @@ def test_gd_to_ideal_matches_the_cells_under_the_inflated_path():
     # oracle: the labelled cells (x, y) with y below the unit path's height over column x
     for n in range(1, 9):
         for k in range(1, 4):
-            poset = consecutive_poset(n, k)
             labels = reference_cell_labels(n, k)
             for path in enumerate_gd(n, k):
                 heights, y = [], 0
@@ -305,16 +305,20 @@ def test_gd_to_ideal_matches_the_cells_under_the_inflated_path():
                     else:
                         heights.append(y)
                 expected = {label for (x, cy), label in labels.items() if cy < heights[x]}
-                assert gd_to_ideal(path, poset) == expected, (n, k, path.steps)
+                assert gd_to_ideal(path) == expected, (n, k, path.steps)
 
 
-def test_gd_to_ideal_rejects_a_poset_of_another_run():
-    path = next(enumerate_gd(5, 2))
-    for poset in (consecutive_poset(4, 2), build_gap_poset((3, 5)), consecutive_poset(5, 1),
-                  consecutive_poset(5, 3)):
-        with pytest.raises(ValueError, match=r"labels the ideals of P_\[5, 6, 7\]"):
-            gd_to_ideal(path, poset)
-    assert gd_to_ideal(path, consecutive_poset(5, 2)) == gd_to_ideal(path)
+def test_every_cached_step_mask_is_the_or_of_its_labels():
+    paths_mod._step_labels.cache_clear()
+    for n in range(1, 10):
+        for k in range(1, 4):
+            for path in enumerate_gd(n, k):
+                gd_to_ideal(path)
+            _, moves = paths_mod._step_labels(n, k)
+            filled = [entry for _, taken in moves.values() for entry in taken.values()]
+            assert filled, (n, k)
+            for labels, mask in filled:
+                assert mask == reduce(or_, (1 << label for label in labels), 0), (n, k, labels)
 
 
 def test_gd_to_ideal_bijection():
@@ -322,7 +326,7 @@ def test_gd_to_ideal_bijection():
         for k in range(1, 4):
             poset = consecutive_poset(n, k)
             ideals = set(poset.iter_lower_ideals())
-            images = [gd_to_ideal(p, poset) for p in enumerate_gd(n, k)]
+            images = [gd_to_ideal(p) for p in enumerate_gd(n, k)]
             assert len(set(images)) == len(images), (n, k)
             assert set(images) == ideals, (n, k)
             assert len(images) == multi_catalan(n, k)
@@ -334,7 +338,7 @@ def path_ideals_and_cores(n, k):
     poset = consecutive_poset(n, k)
     pairs = []
     for path in enumerate_gd(n, k):
-        ideal = gd_to_ideal(path, poset)
+        ideal = gd_to_ideal(path)
         pairs.append((ideal, ideal_to_core(poset, ideal)))
     return pairs
 
@@ -431,6 +435,15 @@ def test_tail_walk_matches_the_depth_first_walk(monkeypatch, tail_items, tail_st
             assert got == list(depth_first_walks(moves, target, table)), (target, moves, table)
 
 
+def test_a_move_wider_or_taller_than_the_target_is_never_tried():
+    # (2, 3000) has 3001 moves, and only D1 and D2 fit in the 2 x 2 square
+    _, steps = _walk_heads(_gd_moves(3000), (2, 2), None)
+    assert [(dx, dy) for dx, dy, _ in steps] == [(1, 1), (2, 2)]
+    assert [p.steps for p in enumerate_gd(2, 3000)] == [("D1", "D1"), ("D2",)]
+    # the gap set of {2, ..., 3002} is {1}: cores of size 0 and 1
+    assert gd_size_totals(2, 3000) == (2, 1)
+
+
 def test_kept_tails_are_bounded_and_are_each_points_walks():
     zero, steps = _walk_heads(_gd_moves(3), (200, 200), None)
     tails = _walk_tails(steps, (200, 200), zero)
@@ -493,21 +506,20 @@ def test_gd_round_trip_through_cores():
 def test_gd_to_ideal_4_3_matches_antichain():
     poset = consecutive_poset(4, 3)
     assert poset.gaps == (1, 2, 3)
-    images = {gd_to_ideal(p, poset) for p in enumerate_gd(4, 3)}
+    images = {gd_to_ideal(p) for p in enumerate_gd(4, 3)}
     assert images == {frozenset(s) for s in
                       [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]}
 
 
 def test_diagonal_labels_are_a_fresh_copy():
-    poset = consecutive_poset(6, 2)
     paths = list(enumerate_gd(6, 2))
-    before = [gd_to_ideal(p, poset) for p in paths]
+    before = [gd_to_ideal(p) for p in paths]
     labels = diagonal_cell_labels(6, 2)
     original = dict(labels)
     labels[(0, 1)] = 999
     del labels[(1, 2)]
     assert diagonal_cell_labels(6, 2) == original
-    assert [gd_to_ideal(p, poset) for p in paths] == before
+    assert [gd_to_ideal(p) for p in paths] == before
 
 
 def test_diagonal_labels_cover_exactly_the_gaps():

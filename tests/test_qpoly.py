@@ -13,6 +13,14 @@ def test_normalization():
     assert QPolynomial().degree == -1
 
 
+def test_coefficients_must_be_integers():
+    # read through operator.index: a float or a str is refused, never rounded
+    for coeffs in ([1.5, 2.7], ["3"], [1, 2.0]):
+        with pytest.raises(TypeError):
+            QPolynomial(coeffs)
+    assert QPolynomial([True, False, True]).coeffs == (1, 0, 1)
+
+
 def test_arithmetic():
     one_plus_q = QPolynomial([1, 1])
     assert one_plus_q * one_plus_q == QPolynomial([1, 2, 1])
