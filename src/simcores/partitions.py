@@ -36,6 +36,8 @@ class CoreModuli(tuple):
         """Bitmask with bit m set for each multiple 0 < m < top of a modulus."""
         mask = 0
         for g in self:
+            if g >= top:
+                break  # the moduli increase, so no later one has a multiple below top
             q = (top - 1) // g
             # bits g, 2g, ..., qg: (2^(gq) - 1) / (2^g - 1) has bits 0, g, ..., (q-1)g
             mask |= ((1 << g * q) - 1) // ((1 << g) - 1) << g

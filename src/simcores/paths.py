@@ -218,13 +218,14 @@ def _lattice_walks(moves: Mapping[str, tuple[int, int]], target: tuple[int, int]
 
 def _walk_heads(moves: Mapping[str, tuple[int, int]], target: tuple[int, int],
                 labels: Sequence[Sequence[int]] | None) -> tuple[tuple | int, list[tuple]]:
-    """(the empty walk, (dx, dy, heads) per move that fits in the target), where
-    heads[x][h] is the move's head from column x to height h (_lattice_walks)."""
+    """(the empty walk, (dx, dy, heads) per move), where heads[x][h] is the
+    move's head from column x to height h (_lattice_walks).  A family's step
+    table holds only the moves that fit in its target (_gd_moves)."""
     tx, ty = target
-    fits = [(name, dx, dy) for name, (dx, dy) in moves.items() if dx <= tx and dy <= ty]
     if labels is None:
-        return (), [(dx, dy, [[(name,)] * (ty + 1)] * (tx + 1)) for name, dx, dy in fits]
-    return 0, [(dx, dy, _step_gains(labels, dx, tx)) for _, dx, dy in fits]
+        return (), [(dx, dy, [[(name,)] * (ty + 1)] * (tx + 1))
+                    for name, (dx, dy) in moves.items()]
+    return 0, [(dx, dy, _step_gains(labels, dx, tx)) for dx, dy in moves.values()]
 
 
 # a lattice point with at most this many walks to the target keeps them in
@@ -246,20 +247,15 @@ def _walk_tails(steps: list[tuple], target: tuple[int, int], zero: tuple | int
     point after the points its steps reach.  A point's list adds, move by
     move, the step's head to each walk of the point it reaches, so no
     separate count is needed; a point that reaches a point without a list,
-    or whose list would pass either bound, gets none.  With a step (0, d),
-    d rows without a list leave none to any row below: each point there
-    steps to a point d rows up.
+    or whose list would pass either bound, gets none.  The fill visits every
+    point of the region: each caller compares the walk's closed-form count
+    with its cap first (_check_cap), so the regions it fills are small.
     """
     tx, ty = target
     width = tx + 1
     tails = {width * (ty + 1) - 1: [zero]}
     budget = _TAIL_STEPS
-    rises = [dy for dx, dy, _ in steps if not dx]
-    rows_without = 0
     for y in range(ty, -1, -1):
-        if rises and rows_without >= min(rises):
-            break
-        rows_without += 1
         for x in range(tx * y // ty - (y == ty), -1, -1):  # the target is done
             joins = []
             total = 0
@@ -278,7 +274,6 @@ def _walk_tails(steps: list[tuple], target: tuple[int, int], zero: tuple | int
                 cost = total * (tx - x + ty - y)
                 if total <= _TAIL_ITEMS and cost <= budget:
                     budget -= cost
-                    rows_without = 0
                     tails[y * width + x] = [head + walk for head, tail in joins for walk in tail]
     return tails
 
@@ -320,11 +315,11 @@ class GeneralizedDyckPath(_LatticePath):
 
     @property
     def moves(self) -> MappingProxyType:
-        return _gd_moves(self.k)
+        return _gd_moves(self.n, self.k)
 
     @property
     def _family(self) -> str:
-        return f"k={self.k}"
+        return f"k={self.k} in the {self.n} x {self.n} square"
 
     def inflate(self) -> tuple[str, ...]:
         """Unit N/E path with each step (dx, dy) replaced by N^dy E^dx; injective on paths."""
@@ -362,7 +357,7 @@ def enumerate_gd(n: int, k: int, max_items: int | None = LIST_CAP) -> Iterator[G
     """
     _require_nk(n, k)
     _check_cap(max_items, count_gd, n, k, gd_paths_name)
-    for steps in _lattice_walks(_gd_moves(k), (n, n)):
+    for steps in _lattice_walks(_gd_moves(n, k), (n, n)):
         yield GeneralizedDyckPath._from_walk(n, k, steps)
 
 
@@ -377,7 +372,7 @@ def gd_label_masks(n: int, k: int, max_items: int | None = LIST_CAP) -> Iterator
     """
     _require_nk(n, k)
     _check_cap(max_items, count_gd, n, k, gd_paths_name)
-    return _lattice_walks(_gd_moves(k), (n, n), _gd_label_table(n, k))
+    return _lattice_walks(_gd_moves(n, k), (n, n), _gd_label_table(n, k))
 
 
 def _gd_label_table(n: int, k: int) -> list[list[int]]:
@@ -390,9 +385,12 @@ def _gd_label_table(n: int, k: int) -> list[list[int]]:
 
 
 @lru_cache(maxsize=64)
-def _gd_moves(k: int) -> MappingProxyType:
-    """Displacement of every step name, in enumerate_gd's order Nk, Ek, D1..D(k-1)."""
-    moves = {f"N{k}": (0, k), f"E{k}": (k, 0), **{f"D{i}": (i, i) for i in range(1, k)}}
+def _gd_moves(n: int, k: int) -> MappingProxyType:
+    """Displacement of every step name that fits in the n x n square, in
+    enumerate_gd's order Nk, Ek, D1..D(k-1): Nk and Ek only for k <= n, and
+    D_i only for i <= n."""
+    moves = {f"N{k}": (0, k), f"E{k}": (k, 0)} if k <= n else {}
+    moves.update((f"D{i}", (i, i)) for i in range(1, min(k - 1, n) + 1))
     return MappingProxyType(moves)
 
 
@@ -438,7 +436,7 @@ def _step_labels(n: int, k: int) -> tuple[GapPoset, dict[str, tuple[int, dict]]]
     points that paths have visited; an entry is one assignment of a fixed
     value, so threads may race to fill it."""
     return consecutive_poset(n, k), {
-        name: (dy * (n + 1) + dx, {}) for name, (dx, dy) in _gd_moves(k).items()}
+        name: (dy * (n + 1) + dx, {}) for name, (dx, dy) in _gd_moves(n, k).items()}
 
 
 def gd_to_ideal(path: GeneralizedDyckPath) -> frozenset[int]:
@@ -464,7 +462,7 @@ def gd_to_ideal(path: GeneralizedDyckPath) -> frozenset[int]:
             # east at its new height, so it takes the labels below that height
             # in the columns it crosses
             y, x = divmod(at, n + 1)
-            dx, dy = _gd_moves(k)[step]
+            dx, dy = _gd_moves(n, k)[step]
             took = tuple(chain.from_iterable(
                 _labels_below(n, k, cx, y + dy) for cx in range(x, x + dx)))
             got = taken[at] = took, _labels_mask(took)
@@ -518,7 +516,7 @@ def _walk_size_totals(moves: Mapping[str, tuple[int, int]], target: tuple[int, i
     sum |lambda| and N c to sum K.  Polynomial: O(points * moves) steps.
     """
     tx, ty = target
-    steps = [(dx, dy) for dx, dy in moves.values() if dx <= tx and dy <= ty]  # the ones that fit
+    steps = list(moves.values())
     width = tx + 1
     moments = [(0, 0, 0)] * (width * (ty + 1))  # moments[y * width + x]
     moments[0] = (1, 0, 0)
@@ -577,7 +575,7 @@ def gd_size_totals(n: int, k: int) -> tuple[int, int]:
     by_rise = [_count_and_sum(_labels_below(n, k, 0, d)) for d in range(n + 1)]
     below = [[(0, 0)] * x + [(c, sigma + c * x) for c, sigma in by_rise[:n + 1 - x]]
              for x in range(n)]
-    count, size_sum = _walk_size_totals(_gd_moves(k), (n, n), below)
+    count, size_sum = _walk_size_totals(_gd_moves(n, k), (n, n), below)
     if count != multi_catalan(n, k):
         raise InvariantError(
             f"path DP counts {count} generalized ({n},{k}) paths, multi_catalan says "

@@ -1,7 +1,7 @@
 """Gap posets of numerical semigroups, their lower ideals, and multi-Catalan counts.
 
 The poset on the gaps (positive integers not representable over the
-generators) has a covers b exactly when a - b is a generator.  The partial
+generators) has a above b whenever a - b is a generator.  The partial
 order is the reflexive-transitive closure of that relation, which on gaps
 coincides with "a - b is a nonzero representable integer": if a - b is a sum
 of generators, every partial sum from b up to a is itself a gap (otherwise a
@@ -64,9 +64,13 @@ class GapPoset:
 
     @property
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Every cover pair (a, b), a covering b, by increasing a, then in generator order.
+        """Every pair of gaps (a, b) with a - b a generator, by increasing a, then
+        in generator order.
 
-        Computed on each read; a caller that needs it twice keeps it.
+        These are the Hasse diagram's edges only when no generator is a sum of
+        others; to_dot(transitive_reduce=True) gives the Hasse diagram for any
+        generator set.  Computed on each read; a caller that needs it twice
+        keeps it.
         """
         return tuple((a, c) for a in self.gaps for c in self.lower_covers(a))
 
@@ -308,16 +312,12 @@ class GapPoset:
         return "\n".join(lines)
 
     def _reduced_covers(self) -> tuple[tuple[int, int], ...]:
-        # drop (a, b) whenever some chain a > c > b exists through other covers
-        covers = self.covers
-        above: dict[int, set[int]] = {g: set() for g in self.gaps}
-        for a, b in covers:
-            above[b].add(a)
-        kept = []
-        for a, b in covers:
-            if not any(a in above[c] for c in above[b] if c != a):
-                kept.append((a, b))
-        return tuple(kept)
+        # drop (a, b) when a chain from b up to a passes another gap: its first
+        # step goes to a gap c = b + g != a, and then a - c is representable
+        gapset = self._gapset
+        return tuple((a, b) for a, b in self.covers
+                     if not any(b + g != a and b + g in gapset and self.is_representable(a - b - g)
+                                for g in self.generators))
 
     def to_json_dict(self) -> dict:
         return {

@@ -207,6 +207,8 @@ def test_core_moduli_normalise_once():
     assert CoreModuli(gens) is gens
     assert gens.multiples_below(11) == sum(1 << m for m in (3, 5, 6, 7, 9, 10))
     assert CoreModuli([4]).multiples_below(4) == 0
+    assert CoreModuli([3]).multiples_below(0) == 0
+    assert CoreModuli(range(5, 3006)).multiples_below(5) == 0
     for bad, message in [([], "generator set must be non-empty"),
                          ([0, 3], "generators must be >= 1, got 0"),
                          ([-2, 5], "generators must be >= 1, got -2")]:

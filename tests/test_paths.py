@@ -209,6 +209,22 @@ def test_gd_validation():
         GeneralizedDyckPath(4, 3, ["D3", "N3", "E3"])  # diagonal jump too long
 
 
+def test_the_step_table_holds_the_steps_that_fit_the_square():
+    for n in range(1, 9):
+        for k in range(1, 11):
+            every = [(f"N{k}", (0, k)), (f"E{k}", (k, 0))]
+            every += [(f"D{i}", (i, i)) for i in range(1, k)]
+            fits = [(name, (dx, dy)) for name, (dx, dy) in every if dx <= n and dy <= n]
+            assert list(_gd_moves(n, k).items()) == fits, (n, k)
+
+
+def test_a_step_that_cannot_fit_the_square_is_rejected_by_name():
+    for n, k, step in [(3, 5, "N5"), (3, 6, "D4")]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"step {step!r} is not valid for k={k} in the 3 x 3 square")):
+            GeneralizedDyckPath(n, k, [step])
+
+
 def test_gd_rejects_non_canonical_step_names():
     # zero-padded amounts (N02, D01) and an Arabic-Indic digit 2 are not step names
     for steps in (["N02", "E2"], ["N2", "E\u0662"], ["D01", "D1"]):
@@ -417,7 +433,7 @@ def walk_families(max_n, max_k, max_sum):
     # every coprime rectangle with s + t <= max_sum
     for n in range(1, max_n + 1):
         for k in range(1, max_k + 1):
-            yield _gd_moves(k), (n, n), _gd_label_table(n, k)
+            yield _gd_moves(n, k), (n, n), _gd_label_table(n, k)
     for s, t in [(s, t) for s in range(1, max_sum) for t in range(1, max_sum + 1 - s)
                  if math.gcd(s, t) == 1]:
         yield RectPath.moves, (t, s), rect_label_table(s, t)
@@ -436,16 +452,16 @@ def test_tail_walk_matches_the_depth_first_walk(monkeypatch, tail_items, tail_st
 
 
 def test_a_move_wider_or_taller_than_the_target_is_never_tried():
-    # (2, 3000) has 3001 moves, and only D1 and D2 fit in the 2 x 2 square
-    _, steps = _walk_heads(_gd_moves(3000), (2, 2), None)
-    assert [(dx, dy) for dx, dy, _ in steps] == [(1, 1), (2, 2)]
+    # k = 3000 names 3001 steps, and only D1 and D2 fit in the 2 x 2 square
+    assert dict(_gd_moves(2, 3000)) == {"D1": (1, 1), "D2": (2, 2)}
     assert [p.steps for p in enumerate_gd(2, 3000)] == [("D1", "D1"), ("D2",)]
     # the gap set of {2, ..., 3002} is {1}: cores of size 0 and 1
     assert gd_size_totals(2, 3000) == (2, 1)
 
 
 def test_kept_tails_are_bounded_and_are_each_points_walks():
-    zero, steps = _walk_heads(_gd_moves(3), (200, 200), None)
+    moves = _gd_moves(200, 3)
+    zero, steps = _walk_heads(moves, (200, 200), None)
     tails = _walk_tails(steps, (200, 200), zero)
     points = 201 * 202 // 2
     assert 0 < len(tails) < points and 0 not in tails
@@ -457,7 +473,7 @@ def test_kept_tails_are_bounded_and_are_each_points_walks():
     # tries every dead end, so only points with walks are compared)
     for at in sorted(at for at, kept in tails.items() if kept)[::23]:
         y, x = divmod(at, 201)
-        assert tails[at] == list(depth_first_walks(_gd_moves(3), (200, 200), start=(x, y))), at
+        assert tails[at] == list(depth_first_walks(moves, (200, 200), start=(x, y))), at
 
 
 def coprime_pairs(max_sum):

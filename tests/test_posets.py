@@ -156,11 +156,11 @@ def test_covers_definition():
 
 
 def test_covers_match_brute_force_in_order_and_reduce_to_the_hasse_diagram():
-    # pairs, runs, sets with one generator the sum of two others, and sets
-    # holding 1, which have no gaps
+    # pairs, runs, sets with one generator the sum of two others or of three
+    # (9 = 3+3+3, 6 = 2+2+2), and sets holding 1, which have no gaps
     sets = [(2, 3), (3, 4), (3, 5), (5, 7), (4, 9), (7, 9), (3, 4, 5), (4, 5, 6), (5, 6, 7),
             (7, 8, 9, 10), (6, 7, 8, 9, 10, 11), (4, 5, 9), (3, 5, 8), (5, 7, 12),
-            (5, 7, 13), (4, 9, 11), (1, 4), (1,)]
+            (5, 7, 13), (4, 9, 11), (3, 9, 10), (2, 6, 8, 9), (1, 4), (1,)]
     for gens in sets:
         poset = GapPoset(gens)
         gaps = brute_gaps(gens, 200)
