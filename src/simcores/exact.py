@@ -72,8 +72,8 @@ def det_qpoly(rows) -> QPolynomial:
     the entrywise 1-norms is at most that product), so with
     B = bound.bit_length() + 1 the integer determinant at q = 2^B, computed
     over Z by the Hessenberg expansion, holds each coefficient as one
-    balanced base-2^B digit.  Evaluation is a ring homomorphism, so the
-    unpacked polynomial is exact.
+    balanced base-2^B digit, unpacked as q_binomial unpacks its quotient.
+    Evaluation is a ring homomorphism, so the unpacked polynomial is exact.
     """
     _check_hessenberg(rows)
     coeffs = [[(e if isinstance(e, QPolynomial) else QPolynomial((e,))).coeffs for e in r]
@@ -91,16 +91,7 @@ def det_qpoly(rows) -> QPolynomial:
                 acc = (acc << shift) + a
             row.append(acc)
         evaluated.append(row)
-    value = _hessenberg_det(evaluated)
-    mask, half = (1 << shift) - 1, 1 << (shift - 1)
-    digits = []
-    while value:
-        d = value & mask
-        if d >= half:
-            d -= 1 << shift
-        digits.append(d)
-        value = (value - d) >> shift
-    return QPolynomial(digits)
+    return QPolynomial._from_kronecker(_hessenberg_det(evaluated), shift)
 
 
 def hessenberg_catalan_det(n: int) -> int:

@@ -2,15 +2,15 @@
 
 A polynomial is a tuple of int coefficients indexed by the power of q,
 normalized so there are no trailing zeros; the zero polynomial has an
-empty coefficient tuple.  All arithmetic is exact; division raises on a
-nonzero remainder instead of ever returning an approximation.
+empty coefficient tuple.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
+import math
 from operator import index
 
-from .errors import ExactDivisionError
+from .errors import InvariantError
 
 
 class QPolynomial:
@@ -28,8 +28,19 @@ class QPolynomial:
         return cls(())
 
     @classmethod
-    def one(cls) -> "QPolynomial":
-        return cls((1,))
+    def _from_kronecker(cls, value: int, shift: int) -> "QPolynomial":
+        """The polynomial whose value at q = 2^shift is value, read off as
+        balanced base-2^shift digits; exact when every coefficient lies in
+        [-2^(shift-1), 2^(shift-1))."""
+        mask, half = (1 << shift) - 1, 1 << (shift - 1)
+        digits = []
+        while value:
+            d = value & mask
+            if d >= half:
+                d -= 1 << shift
+            digits.append(d)
+            value = (value - d) >> shift
+        return cls(digits)
 
     @classmethod
     def monomial(cls, coeff: int, power: int) -> "QPolynomial":
@@ -107,32 +118,6 @@ class QPolynomial:
 
     __rmul__ = __mul__
 
-    def exact_div(self, other: "QPolynomial") -> "QPolynomial":
-        """Polynomial quotient self / other; the remainder must be zero."""
-        other = _coerce(other)
-        if not other:
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        den = other.coeffs
-        lead = den[-1]
-        dn = len(den) - 1
-        out = [0] * max(len(rem) - dn, 0)
-        for i in range(len(rem) - 1, dn - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            q, r = divmod(c, lead)
-            if r:
-                raise ExactDivisionError(
-                    f"leading coefficient {c} not divisible by {lead} in polynomial division"
-                )
-            out[i - dn] = q
-            for j, dj in enumerate(den):
-                rem[i - dn + j] -= q * dj
-        if any(rem):
-            raise ExactDivisionError("polynomial division left a nonzero remainder")
-        return QPolynomial(out)
-
     def __call__(self, value):
         """Evaluate by Horner; at value=1 this is the coefficient sum."""
         acc = 0
@@ -170,18 +155,23 @@ def q_binomial(n: int, k: int) -> QPolynomial:
     """Gaussian binomial [n over k]_q as an exact polynomial.
 
     Zero polynomial for k < 0 or k > n; evaluating at q = 1 gives the
-    ordinary binomial coefficient.  Computed by the product/quotient form
-    [m+i over i] = [m+i-1 over i-1] * (1-q^(m+i)) / (1-q^i), every division
-    exact.
+    ordinary binomial coefficient.  The product formula
+    prod_{i<=k} (q^(n-k+i) - 1) / (q^i - 1) is taken over Z at q = 2^B with
+    B = C(n, k).bit_length() + 1: each coefficient counts the partitions of
+    one size in a k x (n-k) box, so it is at most C(n, k) and the quotient
+    holds it as one base-2^B digit, unpacked as det_qpoly unpacks its value.
     """
     if n < 0:
         raise ValueError(f"q_binomial requires n >= 0, got {n}")
     if k < 0 or k > n:
         return QPolynomial.zero()
     k = min(k, n - k)
-    result = QPolynomial.one()
+    shift = math.comb(n, k).bit_length() + 1
+    num = den = 1
     for i in range(1, k + 1):
-        num = 1 - QPolynomial.monomial(1, n - k + i)
-        den = 1 - QPolynomial.monomial(1, i)
-        result = (result * num).exact_div(den)
-    return result
+        num *= (1 << (shift * (n - k + i))) - 1
+        den *= (1 << (shift * i)) - 1
+    value, rem = divmod(num, den)
+    if rem:
+        raise InvariantError(f"q-binomial product for [{n} over {k}] left a nonzero remainder")
+    return QPolynomial._from_kronecker(value, shift)

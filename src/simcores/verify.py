@@ -380,14 +380,14 @@ def total_core_size_via_paths(s: int) -> int:
     """
     poset = consecutive_poset(s, 2)
     total = 0
-    seen = set()  # one int bitmask per ideal: far smaller than the frozensets
+    seen = set()  # a core's parts name its ideal: the hooks-to-partition map is injective
     for path in enumerate_gd(s, 2):
         ideal = gd_to_ideal(path)
-        key = sum(1 << g for g in ideal)
-        if key in seen:
+        parts = ideal_to_core(poset, ideal).parts
+        if parts in seen:
             raise InvariantError(f"two paths map to the ideal {sorted(ideal)}")
-        seen.add(key)
-        total += ideal_to_core(poset, ideal).size
+        seen.add(parts)
+        total += sum(parts)
     return total
 
 

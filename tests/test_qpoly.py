@@ -1,6 +1,7 @@
+import random
+
 import pytest
 
-from simcores.errors import ExactDivisionError
 from simcores.exact import binomial
 from simcores.qpoly import QPolynomial, q_binomial
 
@@ -38,15 +39,16 @@ def test_evaluation():
     assert p(0) == 1
 
 
-def test_exact_division():
-    num = QPolynomial([1, 2, 1])
-    assert num.exact_div(QPolynomial([1, 1])) == QPolynomial([1, 1])
-    with pytest.raises(ExactDivisionError):
-        QPolynomial([1, 1, 1]).exact_div(QPolynomial([1, 1]))
-    with pytest.raises(ExactDivisionError):
-        QPolynomial([1, 1]).exact_div(QPolynomial([2]))
-    with pytest.raises(ZeroDivisionError):
-        num.exact_div(QPolynomial())
+def test_kronecker_unpacking_round_trips_balanced_digits():
+    rng = random.Random(7)
+    for shift in (2, 3, 8, 31, 64):
+        half = 1 << (shift - 1)
+        lists = [[-half], [half - 1], [-half, -half], [half - 1, -half, 0, -1]]
+        lists += [[rng.randrange(-half, half) for _ in range(rng.randrange(1, 12))]
+                  for _ in range(40)]
+        for digits in lists:
+            value = sum(d << (shift * i) for i, d in enumerate(digits))
+            assert QPolynomial._from_kronecker(value, shift) == QPolynomial(digits), (shift, digits)
 
 
 def test_q_binomial_examples():
@@ -62,7 +64,7 @@ def test_q_binomial_examples():
 
 def test_q_binomial_pascal_recurrence():
     # oracle: [n k] = [n-1 k-1] + q^k [n-1 k]
-    for n in range(1, 13):
+    for n in range(1, 41):
         for k in range(n + 1):
             lhs = q_binomial(n, k)
             rhs = q_binomial(n - 1, k - 1) + QPolynomial.monomial(1, k) * q_binomial(n - 1, k)
@@ -75,6 +77,14 @@ def test_q_binomial_specialization_and_symmetry():
             poly = q_binomial(n, k)
             assert poly(1) == binomial(n, k), (n, k)
             assert poly.coeffs == tuple(reversed(poly.coeffs)), (n, k)
+
+
+def test_q_binomial_at_minus_one():
+    # independent oracle: [n k] at q = -1 is 0 for n even and k odd, else C(n//2, k//2)
+    for n in range(61):
+        for k in range(n + 1):
+            expected = 0 if n % 2 == 0 and k % 2 else binomial(n // 2, k // 2)
+            assert q_binomial(n, k)(-1) == expected, (n, k)
 
 
 def test_str():

@@ -281,6 +281,13 @@ def test_conjecture_total_size():
         conjecture_total_size(2)
 
 
+def test_path_enumeration_fails_when_two_paths_share_an_ideal(monkeypatch):
+    # {1} is a lower ideal of P_[4, 5, 6]; mapping all nine paths onto it must fail
+    monkeypatch.setattr(verify, "gd_to_ideal", lambda path: frozenset({1}))
+    with pytest.raises(InvariantError, match="two paths map to the ideal"):
+        total_core_size_via_paths(4)
+
+
 
 def test_the_path_dp_at_s_200():
     # the scale README cites: lhs = rhs is the Yang-Zhong-Zhou theorem, and
