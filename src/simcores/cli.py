@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .errors import EnumerationCapError, InvariantError, SimcoresError
+from .errors import InvariantError, SimcoresError, check_cap
 from .partitions import Partition, render_ferrers
 from .paths import (
     count_gd,
@@ -189,12 +189,12 @@ def _listing(args, params: dict, count, enumerate_items, *, key: str, noun: str,
     """The count, list, JSON and round-trip route of every listing command.
 
     `--from-file` is read before any work, `--count-only` counts without
-    enumerating, `--max-items N` fails a count or a listing past N items, and
-    anything else enumerates once under the listing cap.  The items are named
-    `key` in JSON, `noun` in the count line, `kind` in the round-trip verdict
-    and `what` in the count's cap error; `count()` returns (count, named
-    totals), `totals(items)` adds the same named totals to a listing, and
-    `write(items)`, when given, replaces the printed listing.
+    enumerating, anything else enumerates once under the listing cap, and
+    both fail before any item once a count passes `--max-items N`.  Items
+    are named `key` in JSON, `noun` in the count line, `kind` in the
+    round-trip verdict and `what` in the count's cap error; `count()` returns
+    (count, named totals), `totals(items)` adds the same named totals to a
+    listing, and `write(items)`, when given, replaces the printed listing.
     """
     if args.from_file:
         with open(args.from_file) as fh:
@@ -204,8 +204,7 @@ def _listing(args, params: dict, count, enumerate_items, *, key: str, noun: str,
                 raise ValueError(f"{args.from_file}: JSON nested too deeply to read") from None
     elif args.count_only:
         n, extra = count()
-        if args.max_items is not None and n > args.max_items:
-            raise EnumerationCapError(what, args.max_items)
+        check_cap(args.max_items, lambda: n, what)
         if args.format == "json":
             payload = dict(params, count=str(n))
             payload.update((name, str(value)) for name, value in extra.items())

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one cap rule."""
+
+from typing import Callable
 
 
 class SimcoresError(Exception):
@@ -34,6 +36,12 @@ class EnumerationCapError(SimcoresError):
     def __init__(self, what: str, cap: int):
         self.what, self.cap = what, cap
         super().__init__(f"{what} exceeds the cap of {cap}; raise the cap to proceed")
+
+
+def check_cap(cap: int | None, count: Callable[[], int], what: str) -> None:
+    """The one cap rule: raise EnumerationCapError naming `what` when count() passes `cap`."""
+    if cap is not None and count() > cap:
+        raise EnumerationCapError(what, cap)
 
 
 class NotACoreError(SimcoresError):

@@ -11,7 +11,7 @@ from itertools import accumulate, islice
 from operator import index, sub
 from typing import Iterable, Iterator
 
-from .errors import EnumerationCapError, NotACoreError
+from .errors import NotACoreError, check_cap
 
 
 class CoreModuli(tuple):
@@ -200,16 +200,13 @@ def subpartitions(p: Partition, max_items: int | None = None) -> Iterator[Partit
     """All partitions contained in p, the empty partition and p included.
 
     Streams results in lexicographic order of the zero-padded rows; with
-    max_items set, raises EnumerationCapError once the cap would be exceeded
-    (no silent truncation).
+    max_items set, raises EnumerationCapError before the first one when
+    count_subpartitions passes it (no silent truncation).
     """
     parts = p.parts
+    check_cap(max_items, lambda: count_subpartitions(p), f"subpartitions of {list(parts)}")
     rows = [0] * len(parts)
-    count = 0
     while True:
-        count += 1
-        if max_items is not None and count > max_items:
-            raise EnumerationCapError(f"subpartitions of {list(parts)}", max_items)
         yield Partition(rows)
         # step the last row still below min(parts[i], previous row); zero the rest
         for i in range(len(rows) - 1, -1, -1):

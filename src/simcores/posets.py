@@ -16,13 +16,13 @@ from itertools import compress
 from operator import mul
 from typing import Iterable, Iterator
 
-from .errors import EnumerationCapError, InfinitePosetError, InvariantError
+from .errors import EnumerationCapError, InfinitePosetError, InvariantError, check_cap
 from .partitions import CoreModuli, Partition, partition_from_hooks
 
-# listings stop with EnumerationCapError past LIST_CAP items, the counting
-# DP past COUNT_CAP states.  A DP state costs about 140 bytes and a residue
-# step holds two state dicts, so the cap must fire before memory runs out
-# (about 260 MB at 10^6 states)
+# listings fail with EnumerationCapError before their first item when they
+# would pass LIST_CAP items, the counting DP past COUNT_CAP states.  A DP
+# state costs about 140 bytes and a residue step holds two state dicts, so
+# the cap must fire before memory runs out (about 260 MB at 10^6 states)
 LIST_CAP = 10**6
 COUNT_CAP = 10**6
 
@@ -111,8 +111,12 @@ class GapPoset:
 
         Deterministic order: gaps are decided in increasing value, exclusion
         branch first, so the empty ideal comes first and the full gap set last.
+        Past max_items it fails before the first ideal: the residue DP counts
+        them first, with max_items as its state cap too (errors.check_cap).
         """
-        yield from map(frozenset, self._walk_lower_ideals(max_items))
+        check_cap(max_items, lambda: self.count_lower_ideals(max_items),
+                  f"lower ideals of P_{list(self.generators)}")
+        yield from map(frozenset, self._walk_lower_ideals())
 
     def iter_core_rows(self, max_items: int | None = LIST_CAP
                        ) -> Iterator[tuple[tuple[int, ...], int, int]]:
@@ -138,11 +142,13 @@ class GapPoset:
         enter the hook mask, so it tests a core independently of whether
         the gaps form a lower ideal.
         """
+        check_cap(max_items, lambda: self.count_lower_ideals(max_items),
+                  f"lower ideals of P_{list(self.generators)}")
         top = (self.frobenius_number or 0) + 1
         # states[d]: (column mask, hook mask, size, parts) of the first d rows;
         # a lower ideal holds at most top - 1 gaps
         states = [((1 << (top + 1)) - 1, 0, 0, ())] * (top + 1)
-        for gaps in self._walk_lower_ideals(max_items):
+        for gaps in self._walk_lower_ideals():
             depth = len(gaps)
             if depth:
                 columns, hooks, size, parts = states[depth - 1]
@@ -153,8 +159,8 @@ class GapPoset:
             _, hooks, size, parts = states[depth]
             yield parts, size, hooks
 
-    def _walk_lower_ideals(self, max_items: int | None) -> Iterator[list[int]]:
-        """The walk behind iter_lower_ideals: one list of gaps, reused.
+    def _walk_lower_ideals(self) -> Iterator[list[int]]:
+        """The uncapped walk behind iter_lower_ideals: one list of gaps, reused.
 
         Bit i of `mask` records whether gaps[i] is in the current ideal, and
         `chosen` holds those gaps in increasing order.  Lower covers have
@@ -181,13 +187,7 @@ class GapPoset:
         mask = 0
         addable = sum(1 << i for i, n in enumerate(need) if not n)
         chosen: list[int] = []
-        count = 0
         while True:
-            count += 1
-            if max_items is not None and count > max_items:
-                raise EnumerationCapError(
-                    f"lower ideals of P_{list(self.generators)}", max_items
-                )
             yield chosen
             if not addable:
                 return  # only the full gap set has no addable gap

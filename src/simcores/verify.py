@@ -14,7 +14,7 @@ import time
 from operator import mul
 from typing import Callable, Iterable
 
-from .errors import InvariantError, NonCoprimeError
+from .errors import InvariantError, NonCoprimeError, check_cap
 from .exact import binomial, catalan_number, det_exact, det_qpoly, hessenberg_catalan_det
 from .partitions import Partition, subpartitions
 from .paths import (
@@ -26,6 +26,7 @@ from .paths import (
     rect_size_totals,
 )
 from .posets import (
+    LIST_CAP,
     GapPoset,
     build_gap_poset,
     consecutive_poset,
@@ -406,16 +407,16 @@ def _coprime_pairs(max_sum: int) -> list[tuple[int, int]]:
 def _ideals_and_cores(poset: GapPoset) -> tuple[int, int, bool]:
     """Number of lower ideals, the total size of their cores, and whether
     those cores are pairwise distinct and each passes the hook test for the
-    poset's generators.  The ideals are counted, not kept.  Each core's
-    parts, size and hook mask come from GapPoset.iter_core_rows, which keeps
-    one state per depth of the ideal walk, with no Partition and no
-    lower-ideal check: a gap set that is not a lower ideal holds a gap a but
-    not the gap a - g for some generator g, so its core fails the hook test
-    for g.  No hook reaches the largest gap + 1, so one multiples mask
-    serves every core."""
+    poset's generators.  The ideals are counted, not kept, on a walk that
+    _check_paths caps.  Each core's parts, size and hook mask come from
+    GapPoset.iter_core_rows, which keeps one state per depth of the ideal
+    walk, with no Partition and no lower-ideal check: a gap set that is not
+    a lower ideal holds a gap a but not the gap a - g for some generator g,
+    so its core fails the hook test for g.  No hook reaches the largest
+    gap + 1, so one multiples mask serves every core."""
     n_ideals = size_sum = all_hooks = 0
     core_parts = set()
-    for parts, size, hooks in poset.iter_core_rows():
+    for parts, size, hooks in poset.iter_core_rows(None):
         n_ideals += 1
         core_parts.add(parts)
         size_sum += size
@@ -459,6 +460,7 @@ def _check_paths(poset: GapPoset, ideals_and_cores: _IdealsAndCores, totals: tup
     cores pass.  Given one label bitmask per path, each image must be a lower
     ideal and the distinct images as many as the ideals, so they are all of
     them.  `ideals_and_cores` is _ideals_and_cores or a suite's shared one."""
+    check_cap(LIST_CAP, lambda: formula, f"lower ideals of P_{list(poset.generators)}")
     n_ideals, core_sizes, cores_ok = ideals_and_cores(poset)
     n_paths, path_sizes = totals
     ok = n_ideals == n_paths == formula and path_sizes == core_sizes and cores_ok

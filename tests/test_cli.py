@@ -384,6 +384,32 @@ def test_a_path_listing_past_the_cap_fails_before_any_walk(capsys, monkeypatch):
                "raise the cap to proceed\n")
 
 
+def test_an_ideal_or_core_listing_past_the_cap_fails_before_any_walk(capsys, monkeypatch):
+    from simcores.posets import GapPoset
+
+    for command in ("ideals", "cores"):
+        listed = run_cli(capsys, command, "--gens", "5,7", "--list", "--max-items", "66")
+        assert listed[0] == 0 and listed[1].startswith("66 ")
+
+    def no_walk(self):
+        raise AssertionError("a listing past the cap walked its ideals")
+
+    monkeypatch.setattr(GapPoset, "_walk_lower_ideals", no_walk)
+    for command in ("ideals", "cores"):
+        for extra in ((), ("--format", "json")):
+            assert run_cli(capsys, command, "--gens", "5,7", "--list", "--max-items", "65",
+                           *extra) == (
+                1, "", "simcores: lower ideals of P_[5, 7] exceeds the cap of 65; "
+                       "raise the cap to proceed\n")
+        assert run_cli(capsys, command, "--gens", "13,17", "--list") == (
+            1, "", "simcores: lower ideals of P_[13, 17] exceeds the cap of 1000000; "
+                   "raise the cap to proceed\n")
+    # a count that needs more states than the cap fails on the states
+    assert run_cli(capsys, "ideals", "--gens", "100,150,199", "--list", "--max-items", "5") == (
+        1, "", "simcores: ideal-counting state space for P_[100, 150, 199] exceeds the cap of 5; "
+               "raise the cap to proceed\n")
+
+
 def test_running_out_of_memory_exits_1_with_one_line(capsys, monkeypatch):
     from simcores import cli
 

@@ -11,7 +11,7 @@ import pytest
 from simcores.errors import EnumerationCapError, InfinitePosetError, NotACoreError
 from simcores.exact import binomial, catalan_number
 import simcores.posets as posets_mod
-from simcores.partitions import Partition, partition_from_hooks
+from simcores.partitions import Partition, count_subpartitions, partition_from_hooks, subpartitions
 from simcores.posets import (
     GapPoset,
     build_gap_poset,
@@ -331,17 +331,51 @@ def test_successor_matches_the_top_down_scan():
         assert list(poset.iter_lower_ideals()) == top_down_scan_lower_ideals(poset), gens
 
 
-def test_successor_cap_is_raised_at_the_item_past_the_cap():
+def test_a_listing_past_its_cap_fails_on_the_first_next():
+    # one cap rule: a listing compares its count with the cap before its
+    # first item.  The ideals are counted by the residue DP with the cap as
+    # its state cap too, so a cap below the DP's peak fails on the states.
     poset = build_gap_poset((4, 7))
     total = poset.count_lower_ideals()
-    for cap in (1, 2, total - 1):
-        it = poset.iter_lower_ideals(max_items=cap)
-        assert list(itertools.islice(it, cap)) == top_down_scan_lower_ideals(poset)[:cap]
-        with pytest.raises(EnumerationCapError) as err:
-            next(it)
-        assert str(err.value) == (
-            f"lower ideals of P_[4, 7] exceeds the cap of {cap}; raise the cap to proceed")
-    assert len(list(poset.iter_lower_ideals(max_items=total))) == total
+
+    def counts_within(cap):
+        try:
+            return poset.count_lower_ideals(max_states=cap) == total
+        except EnumerationCapError:
+            return False
+
+    peak = next(cap for cap in range(total + 1) if counts_within(cap))
+    assert 1 < peak <= total // 2
+    box = Partition((3, 3, 2))
+    listings = (
+        (poset.iter_lower_ideals, total, "lower ideals of P_[4, 7]"),
+        (poset.iter_core_rows, total, "lower ideals of P_[4, 7]"),
+        (lambda cap: subpartitions(box, max_items=cap), count_subpartitions(box),
+         "subpartitions of [3, 3, 2]"),
+    )
+    for listing, count, what in listings:
+        for cap in range(count):
+            if what.startswith("lower ideals") and cap < peak:
+                what_failed = "ideal-counting state space for P_[4, 7]"
+            else:
+                what_failed = what
+            with pytest.raises(EnumerationCapError) as err:
+                next(listing(cap))
+            assert str(err.value) == f"{what_failed} exceeds the cap of {cap}; raise the cap to proceed"
+        assert len(list(listing(count))) == count
+    assert list(poset.iter_lower_ideals(max_items=total)) == top_down_scan_lower_ideals(poset)
+
+
+def test_the_pre_count_never_refuses_a_listing_that_fits():
+    # a listing capped at its own count runs the residue DP with that cap on
+    # its states, so the DP must never hold more states than there are ideals
+    sets = [gens for size in (2, 3, 4) for gens in itertools.combinations(range(2, 13), size)
+            if math.gcd(*gens) == 1]
+    assert len(sets) == 489
+    for gens in sets:
+        poset = GapPoset(gens)
+        n = poset.count_lower_ideals()
+        assert poset.count_lower_ideals(max_states=n) == n, gens
 
 
 def test_successor_with_generator_one_yields_only_the_empty_ideal():

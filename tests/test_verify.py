@@ -12,7 +12,7 @@ import pytest
 
 from simcores import paths, posets, verify
 from simcores.exact import binomial, catalan_number
-from simcores.errors import InvariantError, NonCoprimeError
+from simcores.errors import EnumerationCapError, InvariantError, NonCoprimeError
 from simcores.partitions import Partition, partitions_in_box
 from simcores.paths import count_rect_paths, diagonal_partition, gd_size_totals
 from simcores.posets import GapPoset, build_gap_poset, consecutive_poset, multi_catalan
@@ -396,6 +396,22 @@ def test_the_equinumerosity_checks_build_no_path_partition_or_frozenset(monkeypa
     assert _check_pair(9, 11, _ideals_and_cores) == (True, "")
 
 
+def test_a_pair_past_the_listing_cap_fails_on_its_closed_form_before_any_walk(monkeypatch):
+    # the walk behind _ideals_and_cores has no cap: the closed-form count,
+    # 7 for (3,5), is compared with LIST_CAP before it starts
+    def no_walk(self):
+        raise AssertionError("a pair past the cap walked its ideals")
+
+    monkeypatch.setattr(GapPoset, "_walk_lower_ideals", no_walk)
+    monkeypatch.setattr(verify, "LIST_CAP", 6)
+    with pytest.raises(EnumerationCapError) as err:
+        _check_pair(3, 5, _ideals_and_cores)
+    assert str(err.value) == "lower ideals of P_[3, 5] exceeds the cap of 6; raise the cap to proceed"
+    monkeypatch.undo()
+    monkeypatch.setattr(verify, "LIST_CAP", 7)
+    assert _check_pair(3, 5, _ideals_and_cores) == (True, "")
+
+
 def test_a_walk_that_yields_a_non_ideal_or_a_repeat_fails_cores_ok(monkeypatch):
     # each list is the one before cut to some length and extended by one gap,
     # as the real walk yields them; {4} replaces the ideal {1, 4} of (3,5), and
@@ -404,7 +420,7 @@ def test_a_walk_that_yields_a_non_ideal_or_a_repeat_fails_cores_ok(monkeypatch):
     walks = {(3, 5): [[], [1], [1, 2], [1, 2, 4], [1, 2, 4, 7], [4], [2]],
              (3, 4): [[], [1], [1, 2], [5], [2]]}
     monkeypatch.setattr(GapPoset, "_walk_lower_ideals",
-                        lambda self, max_items: iter(walks[self.generators]))
+                        lambda self: iter(walks[self.generators]))
     assert _check_pair(3, 5, _ideals_and_cores) == (
         False, "ideals=7 paths=7 formula=7 cores ok=False total size: paths=21 cores=21")
     # the path images are checked pointwise, not against the walk, so only
