@@ -189,13 +189,17 @@ def _listing(args, params: dict, count, enumerate_items, *, key: str, noun: str,
     """The count, list, JSON and round-trip route of every listing command.
 
     `--from-file` is read before any work, `--count-only` counts without
-    enumerating, anything else enumerates once under the listing cap, and
-    both fail before any item once a count passes `--max-items N`.  Items
-    are named `key` in JSON, `noun` in the count line, `kind` in the
-    round-trip verdict and `what` in the count's cap error; `count()` returns
-    (count, named totals), `totals(items)` adds the same named totals to a
-    listing, and `write(items)`, when given, replaces the printed listing.
+    enumerating, and anything else enumerates once.  Both routes take one
+    cap, `--max-items N` or LIST_CAP without it: `enumerate_items(cap)`
+    fails before any item once its count passes the cap, and `count(cap)`
+    once it needs more counting states than the cap; the count it returns
+    is compared with the cap only when `--max-items` is given.  Items are named `key` in JSON, `noun` in the
+    count line, `kind` in the round-trip verdict and `what` in the count's
+    cap error; `count(cap)` returns (count, named totals), `totals(items)`
+    adds the same named totals to a listing, and `write(items)`, when given,
+    replaces the printed listing.
     """
+    cap = LIST_CAP if args.max_items is None else args.max_items
     if args.from_file:
         with open(args.from_file) as fh:
             try:
@@ -203,7 +207,7 @@ def _listing(args, params: dict, count, enumerate_items, *, key: str, noun: str,
             except RecursionError:
                 raise ValueError(f"{args.from_file}: JSON nested too deeply to read") from None
     elif args.count_only:
-        n, extra = count()
+        n, extra = count(cap)
         check_cap(args.max_items, lambda: n, what)
         if args.format == "json":
             payload = dict(params, count=str(n))
@@ -214,7 +218,7 @@ def _listing(args, params: dict, count, enumerate_items, *, key: str, noun: str,
         for name, value in extra.items():
             print(f"{name.replace('_', ' ')}: {value}")
         return 0
-    items = list(enumerate_items(LIST_CAP if args.max_items is None else args.max_items))
+    items = list(enumerate_items(cap))
     payload = dict(params, count=str(len(items)))
     if args.from_file:
         # every canonical field must match; extra recorded keys are fine
@@ -245,7 +249,7 @@ def _listing(args, params: dict, count, enumerate_items, *, key: str, noun: str,
 def cmd_ideals(args) -> int:
     poset = build_gap_poset(args.gens)
     return _listing(
-        args, {"generators": list(poset.generators)}, lambda: (poset.count_lower_ideals(), {}),
+        args, {"generators": list(poset.generators)}, lambda cap: (poset.count_lower_ideals(cap), {}),
         lambda cap: map(sorted, poset.iter_lower_ideals(cap)),
         key="ideals", noun="lower ideals", kind="ideals",
         what=f"lower ideals of P_{list(poset.generators)}",
@@ -260,10 +264,10 @@ def cmd_cores(args) -> int:
     # re-check and sort are skipped
     poset = build_gap_poset(args.gens)
 
-    def count():
+    def count(cap):
         if not args.total_size:
-            return poset.count_lower_ideals(), {}
-        n, total_size = poset.core_size_totals()
+            return poset.count_lower_ideals(cap), {}
+        n, total_size = poset.core_size_totals(cap)
         return n, {"total_size": total_size}
 
     return _listing(
@@ -287,7 +291,7 @@ def _svg_writer(path: str | None, labels: bool = False):
 
 def cmd_paths_rect(args) -> int:
     return _listing(
-        args, {"s": args.s, "t": args.t}, lambda: (count_rect_paths(args.s, args.t), {}),
+        args, {"s": args.s, "t": args.t}, lambda cap: (count_rect_paths(args.s, args.t), {}),
         lambda cap: enumerate_rect_paths(args.s, args.t, max_items=cap),
         key="paths", noun="paths", kind="rect paths", what=rect_paths_name(args.s, args.t),
         to_json=lambda path: path.to_json(), to_text=lambda path: " ".join(path.steps),
@@ -297,7 +301,7 @@ def cmd_paths_rect(args) -> int:
 
 def cmd_paths_gd(args) -> int:
     return _listing(
-        args, {"n": args.n, "k": args.k}, lambda: (count_gd(args.n, args.k), {}),
+        args, {"n": args.n, "k": args.k}, lambda cap: (count_gd(args.n, args.k), {}),
         lambda cap: enumerate_gd(args.n, args.k, max_items=cap),
         key="paths", noun="paths", kind="generalized paths",
         what=gd_paths_name(args.n, args.k),

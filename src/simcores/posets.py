@@ -19,12 +19,12 @@ from typing import Iterable, Iterator
 from .errors import EnumerationCapError, InfinitePosetError, InvariantError, check_cap
 from .partitions import CoreModuli, Partition, partition_from_hooks
 
-# listings fail with EnumerationCapError before their first item when they
-# would pass LIST_CAP items, the counting DP past COUNT_CAP states.  A DP
-# state costs about 140 bytes and a residue step holds two state dicts, so
-# the cap must fire before memory runs out (about 260 MB at 10^6 states)
+# the package's one cap: listings fail with EnumerationCapError before their
+# first item when they would pass LIST_CAP items, and the counting DP before
+# it holds more than LIST_CAP states.  A DP state costs about 140 bytes and a
+# residue step holds two state dicts, so the cap must fire before memory runs
+# out (about 260 MB at 10^6 states)
 LIST_CAP = 10**6
-COUNT_CAP = 10**6
 
 # the binary digits "0" and "1" as the bytes 0 and 1, for itertools.compress
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
@@ -206,14 +206,15 @@ class GapPoset:
                 if need[u] & mask == need[u]:
                     addable |= 1 << u
 
-    def count_lower_ideals(self, max_states: int | None = COUNT_CAP) -> int:
-        """Number of lower ideals: the N of core_size_totals' residue-class DP.
+    def count_lower_ideals(self, max_states: int | None = LIST_CAP) -> int:
+        """Number of lower ideals: the N of core_size_totals' residue-class DP,
+        under the same state cap.
 
         Independent of the closed multi-Catalan recursion.
         """
         return self.core_size_totals(max_states)[0]
 
-    def core_size_totals(self, max_states: int | None = COUNT_CAP) -> tuple[int, int]:
+    def core_size_totals(self, max_states: int | None = LIST_CAP) -> tuple[int, int]:
         """(number, total size) of the simultaneous cores, by a DP over the residues mod m.
 
         No ideal is built.  With m = min(generators), the gaps = r (mod m)
@@ -241,7 +242,8 @@ class GapPoset:
         N sigma - h sum K - N h(h-1)/2 to sum |lambda| and N h to sum K, as
         in paths._walk_size_totals.  Valid for any generators; it raises
         EnumerationCapError when a residue step is about to add a state past
-        max_states, so no step holds more than max_states states.
+        max_states (LIST_CAP by default, None for no cap), so no step holds
+        more than max_states states.
         """
         gens = self.generators
         m = gens[0]

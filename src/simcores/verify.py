@@ -21,6 +21,7 @@ from .paths import (
     count_rect_paths,
     enumerate_gd,
     gd_label_masks,
+    gd_paths_name,
     gd_size_totals,
     gd_to_ideal,
     rect_size_totals,
@@ -407,13 +408,14 @@ def _coprime_pairs(max_sum: int) -> list[tuple[int, int]]:
 def _ideals_and_cores(poset: GapPoset) -> tuple[int, int, bool]:
     """Number of lower ideals, the total size of their cores, and whether
     those cores are pairwise distinct and each passes the hook test for the
-    poset's generators.  The ideals are counted, not kept, on a walk that
-    _check_paths caps.  Each core's parts, size and hook mask come from
-    GapPoset.iter_core_rows, which keeps one state per depth of the ideal
-    walk, with no Partition and no lower-ideal check: a gap set that is not
-    a lower ideal holds a gap a but not the gap a - g for some generator g,
-    so its core fails the hook test for g.  No hook reaches the largest
-    gap + 1, so one multiples mask serves every core."""
+    poset's generators.  The ideals are counted, not kept, on an uncapped
+    walk: equinumerosity_suite compares each instance's closed-form count
+    with LIST_CAP before it walks anything.  Each core's parts, size and
+    hook mask come from GapPoset.iter_core_rows, which keeps one state per
+    depth of the ideal walk, with no Partition and no lower-ideal check: a
+    gap set that is not a lower ideal holds a gap a but not the gap a - g
+    for some generator g, so its core fails the hook test for g.  No hook
+    reaches the largest gap + 1, so one multiples mask serves every core."""
     n_ideals = size_sum = all_hooks = 0
     core_parts = set()
     for parts, size, hooks in poset.iter_core_rows(None):
@@ -459,8 +461,9 @@ def _check_paths(poset: GapPoset, ideals_and_cores: _IdealsAndCores, totals: tup
     total size (`totals` is its count and total size) is the cores', and the
     cores pass.  Given one label bitmask per path, each image must be a lower
     ideal and the distinct images as many as the ideals, so they are all of
-    them.  `ideals_and_cores` is _ideals_and_cores or a suite's shared one."""
-    check_cap(LIST_CAP, lambda: formula, f"lower ideals of P_{list(poset.generators)}")
+    them.  `ideals_and_cores` is _ideals_and_cores or a suite's shared one.
+    Nothing here is capped: equinumerosity_suite compares `formula` with
+    LIST_CAP before the first walk."""
     n_ideals, core_sizes, cores_ok = ideals_and_cores(poset)
     n_paths, path_sizes = totals
     ok = n_ideals == n_paths == formula and path_sizes == core_sizes and cores_ok
@@ -475,30 +478,44 @@ def _check_paths(poset: GapPoset, ideals_and_cores: _IdealsAndCores, totals: tup
     return ok, detail if not ok else ""
 
 
-def _check_pair(s: int, t: int, ideals_and_cores: _IdealsAndCores) -> tuple[bool, str]:
-    """_check_paths for a coprime pair and its rectangle paths."""
+def _check_pair(s: int, t: int, ideals_and_cores: _IdealsAndCores,
+                formula: int) -> tuple[bool, str]:
+    """_check_paths for a coprime pair and its rectangle paths, counted by
+    `formula` (count_rect_paths)."""
     return _check_paths(build_gap_poset((s, t)), ideals_and_cores,
-                        rect_size_totals(s, t), count_rect_paths(s, t))
+                        rect_size_totals(s, t), formula)
 
 
-def _check_consecutive(n: int, k: int, ideals_and_cores: _IdealsAndCores) -> tuple[bool, str]:
-    """_check_paths for the run {n, ..., n+k}, its generalized paths and their label masks."""
+def _check_consecutive(n: int, k: int, ideals_and_cores: _IdealsAndCores,
+                       formula: int) -> tuple[bool, str]:
+    """_check_paths for the run {n, ..., n+k}, counted by `formula`
+    (multi_catalan), its generalized paths and their label masks."""
     return _check_paths(consecutive_poset(n, k), ideals_and_cores, gd_size_totals(n, k),
-                        multi_catalan(n, k), list(gd_label_masks(n, k)))
+                        formula, list(gd_label_masks(n, k, None)))
 
 
 def equinumerosity_suite(max_pair_sum: int, max_n: int, max_k: int,
                          jobs: int = 1) -> CheckReport:
     """Cores = paths = ideals, for coprime pairs and consecutive runs, each
-    distinct poset's ideals and cores walked once."""
+    distinct poset's ideals and cores walked once.
+
+    Every instance's closed-form count is compared with LIST_CAP as the
+    instance list is built, so a range with an instance past the cap fails
+    before its first walk, naming the first such instance.
+    """
     shared = _shared_ideals_and_cores()
     instances: list[tuple[str, Callable[[], tuple[bool, str]]]] = []
     for s, t in _coprime_pairs(max_pair_sum):
-        instances.append((f"pair ({s},{t})", lambda s=s, t=t: _check_pair(s, t, shared)))
+        formula = count_rect_paths(s, t)
+        check_cap(LIST_CAP, lambda: formula, f"lower ideals of P_{[s, t]}")
+        instances.append((f"pair ({s},{t})",
+                          lambda s=s, t=t, f=formula: _check_pair(s, t, shared, f)))
     for n in range(1, max_n + 1):
         for k in range(1, max_k + 1):
+            formula = multi_catalan(n, k)
+            check_cap(LIST_CAP, lambda: formula, gd_paths_name(n, k))
             instances.append((f"consecutive ({n},{k})",
-                              lambda n=n, k=k: _check_consecutive(n, k, shared)))
+                              lambda n=n, k=k, f=formula: _check_consecutive(n, k, shared, f)))
     return _run_report(
         "equinumerosity",
         f"pairs with s+t <= {max_pair_sum}; consecutive n <= {max_n}, k <= {max_k}",
@@ -601,10 +618,15 @@ def check_conjecture_range(min_s: int, max_s: int, jobs: int = 1) -> CheckReport
             oracles = []
             if s <= CONJECTURE_RESIDUE_MAX_S:
                 poset = consecutive_poset(s, 2)
-                oracles.append(("the residue DP", poset.core_size_totals()[1]))
+                count, total = poset.core_size_totals()
+                oracles.append(("the residue DP", total))
                 if s <= CONJECTURE_ENUM_MAX_S:
+                    # the DP's count is the walk's cap check, so it runs once
+                    check_cap(LIST_CAP, lambda: count,
+                              f"lower ideals of P_{list(poset.generators)}")
                     oracles.append(("ideal enumeration", sum(
-                        ideal_to_core(poset, ideal).size for ideal in poset.iter_lower_ideals())))
+                        ideal_to_core(poset, ideal).size
+                        for ideal in poset.iter_lower_ideals(None))))
                     oracles.append(("path enumeration", total_core_size_via_paths(s)))
             for route, other in oracles:
                 if other != lhs:

@@ -346,15 +346,27 @@ def test_count_only_max_items_caps_the_count(capsys):
             1, "", f"simcores: {what} exceeds the cap of {cap}; raise the cap to proceed\n")
         code, out, err = run_cli(capsys, *argv, "--count-only", "--max-items", str(count))
         assert code == 0 and err == "" and str(count) in out
-    # the DP's state cap is not --max-items: 5 states, 66 ideals
-    assert run_cli(capsys, "ideals", "--gens", "5,7", "--count-only", "--max-items", "40") == (
-        1, "", "simcores: lower ideals of P_[5, 7] exceeds the cap of 40; raise the cap to proceed\n")
     # --list does not change a JSON count either; --total-size adds the total size
     assert run_cli(capsys, "cores", "--gens", "5,7", "--count-only", "--list",
                    "--format", "json") == (0, '{"generators": [5, 7], "count": "66"}\n', "")
     assert run_cli(capsys, "cores", "--gens", "5,7", "--count-only", "--list", "--total-size",
                    "--format", "json") == (
         0, '{"generators": [5, 7], "count": "66", "total_size": "858"}\n', "")
+
+
+def test_count_only_max_items_is_the_dp_state_cap_too(capsys):
+    # the residue DP holds at most 5 states for the 66 (5,7)-cores: a cap
+    # below 5 stops the DP, one up to 65 fails on the count, and 66 counts
+    for argv in (("ideals", "--gens", "5,7", "--count-only"),
+                 ("cores", "--gens", "5,7", "--count-only", "--total-size")):
+        uncapped = run_cli(capsys, *argv)
+        assert uncapped[0] == 0 and uncapped[1].startswith("66\n")
+        for cap in range(1, 66):
+            what = "ideal-counting state space for" if cap < 5 else "lower ideals of"
+            assert run_cli(capsys, *argv, "--max-items", str(cap)) == (
+                1, "", f"simcores: {what} P_[5, 7] exceeds the cap of {cap}; "
+                       "raise the cap to proceed\n"), (argv, cap)
+        assert run_cli(capsys, *argv, "--max-items", "66") == uncapped
 
 
 def test_a_path_listing_past_the_cap_fails_before_any_walk(capsys, monkeypatch):
@@ -404,10 +416,12 @@ def test_an_ideal_or_core_listing_past_the_cap_fails_before_any_walk(capsys, mon
         assert run_cli(capsys, command, "--gens", "13,17", "--list") == (
             1, "", "simcores: lower ideals of P_[13, 17] exceeds the cap of 1000000; "
                    "raise the cap to proceed\n")
-    # a count that needs more states than the cap fails on the states
-    assert run_cli(capsys, "ideals", "--gens", "100,150,199", "--list", "--max-items", "5") == (
-        1, "", "simcores: ideal-counting state space for P_[100, 150, 199] exceeds the cap of 5; "
-               "raise the cap to proceed\n")
+    # a count that needs more states than the cap fails on the states, on
+    # either route
+    for route in ("--list", "--count-only"):
+        assert run_cli(capsys, "ideals", "--gens", "100,150,199", route, "--max-items", "5") == (
+            1, "", "simcores: ideal-counting state space for P_[100, 150, 199] exceeds the cap "
+                   "of 5; raise the cap to proceed\n")
 
 
 def test_running_out_of_memory_exits_1_with_one_line(capsys, monkeypatch):

@@ -322,18 +322,18 @@ def test_ideals_and_cores_counts_without_keeping_the_ideals():
 
 
 def test_equinumerosity_failure_details(monkeypatch):
-    assert _check_pair(3, 5, _ideals_and_cores) == (True, "")
-    assert _check_consecutive(4, 2, _ideals_and_cores) == (True, "")
+    assert _check_pair(3, 5, _ideals_and_cores, 7) == (True, "")
+    assert _check_consecutive(4, 2, _ideals_and_cores, 9) == (True, "")
     monkeypatch.setattr(verify, "rect_size_totals", lambda s, t: (7, 20))
-    assert _check_pair(3, 5, _ideals_and_cores) == (
+    assert _check_pair(3, 5, _ideals_and_cores, 7) == (
         False, "ideals=7 paths=7 formula=7 cores ok=True total size: paths=20 cores=21")
     monkeypatch.undo()
-    monkeypatch.setattr(verify, "count_rect_paths", lambda s, t: 8)
-    assert _check_pair(3, 5, _ideals_and_cores) == (
+    # a closed form that disagrees with the walk and the path DP
+    assert _check_pair(3, 5, _ideals_and_cores, 8) == (
         False, "ideals=7 paths=7 formula=8 cores ok=True total size: paths=21 cores=21")
     # every path yields the empty label set
     monkeypatch.setattr(paths, "_gd_label_table", lambda n, k: [[0] * (n + 1)] * n)
-    assert _check_consecutive(4, 2, _ideals_and_cores) == (
+    assert _check_consecutive(4, 2, _ideals_and_cores, 9) == (
         False, "ideals=9 paths=9 formula=9 cores ok=True total size: paths=25 cores=25 bijection=NO"
     )
 
@@ -350,7 +350,7 @@ def test_a_path_whose_labels_are_not_an_ideal_fails_the_bijection(monkeypatch):
     changed = [a for a, b in zip(masks, paths.gd_label_masks(4, 2), strict=True) if a != b]
     assert len(changed) == 1 and len(set(masks)) == 9
     monkeypatch.setattr(paths, "_gd_label_table", lambda n, k: table)
-    assert _check_consecutive(4, 2, _ideals_and_cores) == (
+    assert _check_consecutive(4, 2, _ideals_and_cores, 9) == (
         False, "ideals=9 paths=9 formula=9 cores ok=True total size: paths=25 cores=25 bijection=NO"
     )
 
@@ -358,7 +358,7 @@ def test_a_path_whose_labels_are_not_an_ideal_fails_the_bijection(monkeypatch):
 def test_a_run_whose_path_dp_total_size_is_wrong_fails(monkeypatch):
     # the {4, 5, 6}-cores number 9 and have total size 25
     monkeypatch.setattr(verify, "gd_size_totals", lambda n, k: (multi_catalan(n, k), 24))
-    assert _check_consecutive(4, 2, _ideals_and_cores) == (
+    assert _check_consecutive(4, 2, _ideals_and_cores, 9) == (
         False, "ideals=9 paths=9 formula=9 cores ok=True total size: paths=24 cores=25 bijection=yes"
     )
 
@@ -371,7 +371,7 @@ def test_a_run_whose_path_dp_count_disagrees_with_multi_catalan_fails(monkeypatc
         return count + 1, size_sum
 
     monkeypatch.setattr(paths, "_walk_size_totals", one_too_many)
-    assert verify._outcome(lambda: _check_consecutive(4, 2, _ideals_and_cores)) == (
+    assert verify._outcome(lambda: _check_consecutive(4, 2, _ideals_and_cores, 9)) == (
         False, "invariant failed: path DP counts 10 generalized (4,2) paths, multi_catalan says 9"
     )
 
@@ -392,24 +392,30 @@ def test_the_equinumerosity_checks_build_no_path_partition_or_frozenset(monkeypa
     monkeypatch.setattr(GapPoset, "iter_lower_ideals", refuse)
     for module in (verify, paths, posets):
         monkeypatch.setattr(module, "frozenset", refuse, raising=False)
-    assert _check_consecutive(9, 3, _ideals_and_cores) == (True, "")
-    assert _check_pair(9, 11, _ideals_and_cores) == (True, "")
+    assert _check_consecutive(9, 3, _ideals_and_cores, multi_catalan(9, 3)) == (True, "")
+    assert _check_pair(9, 11, _ideals_and_cores, count_rect_paths(9, 11)) == (True, "")
 
 
 def test_a_pair_past_the_listing_cap_fails_on_its_closed_form_before_any_walk(monkeypatch):
-    # the walk behind _ideals_and_cores has no cap: the closed-form count,
-    # 7 for (3,5), is compared with LIST_CAP before it starts
+    # the walk behind _ideals_and_cores has no cap: the suite compares every
+    # instance's closed-form count with LIST_CAP as it builds the instance
+    # list.  Of the 17 instances of (10, 1, 1), only pair (4,5), the 16th,
+    # has more than 13 paths (14), and of the 26 of (10, 5, 2) only run
+    # (5,1), the 25th, more than 41 (42); each fails with the message its own
+    # check would raise, and no instance before it is walked
     def no_walk(self):
-        raise AssertionError("a pair past the cap walked its ideals")
+        raise AssertionError("a suite with an instance past the cap walked a poset")
 
     monkeypatch.setattr(GapPoset, "_walk_lower_ideals", no_walk)
-    monkeypatch.setattr(verify, "LIST_CAP", 6)
-    with pytest.raises(EnumerationCapError) as err:
-        _check_pair(3, 5, _ideals_and_cores)
-    assert str(err.value) == "lower ideals of P_[3, 5] exceeds the cap of 6; raise the cap to proceed"
+    for cap, ranges, what in ((13, (10, 1, 1), "lower ideals of P_[4, 5]"),
+                              (41, (10, 5, 2), "generalized (5,1) paths")):
+        monkeypatch.setattr(verify, "LIST_CAP", cap)
+        with pytest.raises(EnumerationCapError) as err:
+            equinumerosity_suite(*ranges)
+        assert str(err.value) == f"{what} exceeds the cap of {cap}; raise the cap to proceed"
     monkeypatch.undo()
-    monkeypatch.setattr(verify, "LIST_CAP", 7)
-    assert _check_pair(3, 5, _ideals_and_cores) == (True, "")
+    monkeypatch.setattr(verify, "LIST_CAP", 42)
+    assert equinumerosity_suite(10, 5, 2).passed
 
 
 def test_a_walk_that_yields_a_non_ideal_or_a_repeat_fails_cores_ok(monkeypatch):
@@ -421,15 +427,15 @@ def test_a_walk_that_yields_a_non_ideal_or_a_repeat_fails_cores_ok(monkeypatch):
              (3, 4): [[], [1], [1, 2], [5], [2]]}
     monkeypatch.setattr(GapPoset, "_walk_lower_ideals",
                         lambda self: iter(walks[self.generators]))
-    assert _check_pair(3, 5, _ideals_and_cores) == (
+    assert _check_pair(3, 5, _ideals_and_cores, 7) == (
         False, "ideals=7 paths=7 formula=7 cores ok=False total size: paths=21 cores=21")
     # the path images are checked pointwise, not against the walk, so only
     # the hook test sees the non-ideal
-    assert _check_consecutive(3, 1, _ideals_and_cores) == (
+    assert _check_consecutive(3, 1, _ideals_and_cores, 5) == (
         False, "ideals=5 paths=5 formula=5 cores ok=False total size: paths=10 cores=10 bijection=yes")
     # a repeated ideal: every core passes the hook test, but two are equal
     walks[3, 5] = [[], [1], [1, 2], [1, 2, 4], [1, 2, 4, 7], [1], [2]]
-    assert _check_pair(3, 5, _ideals_and_cores) == (
+    assert _check_pair(3, 5, _ideals_and_cores, 7) == (
         False, "ideals=7 paths=7 formula=7 cores ok=False total size: paths=21 cores=18")
 
 
@@ -478,8 +484,8 @@ def test_a_shared_poset_fails_both_of_its_instances(monkeypatch):
 
     monkeypatch.setattr(verify, "_ideals_and_cores", cores_fail_for_3_4)
     # the details are those of the checks run on their own
-    expected = [f"pair (3,4): {_check_pair(3, 4, cores_fail_for_3_4)[1]}",
-                f"consecutive (3,1): {_check_consecutive(3, 1, cores_fail_for_3_4)[1]}"]
+    expected = [f"pair (3,4): {_check_pair(3, 4, cores_fail_for_3_4, 5)[1]}",
+                f"consecutive (3,1): {_check_consecutive(3, 1, cores_fail_for_3_4, 5)[1]}"]
     assert expected == [
         "pair (3,4): ideals=5 paths=5 formula=5 cores ok=False total size: paths=10 cores=10",
         "consecutive (3,1): ideals=5 paths=5 formula=5 cores ok=False total size: paths=10 "
