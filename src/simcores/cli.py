@@ -86,7 +86,6 @@ def build_parser() -> _Parser:
     p_poset = sub.add_parser("poset", help="gaps and covers of the generator poset")
     p_poset.add_argument("--gens", type=_gens_arg, required=True)
     p_poset.add_argument("--format", choices=("plain", "json", "dot"), default="plain")
-    p_poset.add_argument("--reduce", action="store_true", help="transitively reduce DOT edges")
     p_poset.set_defaults(func=cmd_poset)
 
     p_ideals = sub.add_parser("ideals", help="lower ideals of the generator poset")
@@ -171,7 +170,7 @@ def build_parser() -> _Parser:
 def cmd_poset(args) -> int:
     poset = build_gap_poset(args.gens)
     if args.format == "dot":
-        print(poset.to_dot(transitive_reduce=args.reduce))
+        print(poset.to_dot())
     elif args.format == "json":
         print(json.dumps(poset.to_json_dict()))
     else:
@@ -185,7 +184,7 @@ def cmd_poset(args) -> int:
 
 
 def _listing(args, params: dict, count, enumerate_items, *, key: str, noun: str, kind: str,
-             what: str, to_json, to_text, totals=lambda items: {}, write=None) -> int:
+             what, to_json, to_text, totals=lambda items: {}, write=None) -> int:
     """The count, list, JSON and round-trip route of every listing command.
 
     `--from-file` is read before any work, `--count-only` counts without
@@ -194,8 +193,8 @@ def _listing(args, params: dict, count, enumerate_items, *, key: str, noun: str,
     fails before any item once its count passes the cap, and `count(cap)`
     once it needs more counting states than the cap; the count it returns
     is compared with the cap only when `--max-items` is given.  Items are named `key` in JSON, `noun` in the
-    count line, `kind` in the round-trip verdict and `what` in the count's
-    cap error; `count(cap)` returns (count, named totals), `totals(items)`
+    count line, `kind` in the round-trip verdict and `what()` in the
+    count's cap error; `count(cap)` returns (count, named totals), `totals(items)`
     adds the same named totals to a listing, and `write(items)`, when given,
     replaces the printed listing.
     """
@@ -252,7 +251,7 @@ def cmd_ideals(args) -> int:
         args, {"generators": list(poset.generators)}, lambda cap: (poset.count_lower_ideals(cap), {}),
         lambda cap: map(sorted, poset.iter_lower_ideals(cap)),
         key="ideals", noun="lower ideals", kind="ideals",
-        what=f"lower ideals of P_{list(poset.generators)}",
+        what=poset.ideals_name,
         to_json=list, to_text=lambda ideal: "{" + ", ".join(map(str, ideal)) + "}",
     )
 
@@ -274,7 +273,7 @@ def cmd_cores(args) -> int:
         args, {"generators": list(poset.generators)}, count,
         lambda cap: (parts for parts, _, _ in poset.iter_core_rows(cap)),
         key="cores", noun="simultaneous cores", kind="cores",
-        what=f"lower ideals of P_{list(poset.generators)}",
+        what=poset.ideals_name,
         to_json=list, to_text=lambda parts: "(" + ", ".join(map(str, parts)) + ")",
         totals=lambda cores: {"total_size": sum(map(sum, cores))} if args.total_size else {},
     )
@@ -293,7 +292,7 @@ def cmd_paths_rect(args) -> int:
     return _listing(
         args, {"s": args.s, "t": args.t}, lambda cap: (count_rect_paths(args.s, args.t), {}),
         lambda cap: enumerate_rect_paths(args.s, args.t, max_items=cap),
-        key="paths", noun="paths", kind="rect paths", what=rect_paths_name(args.s, args.t),
+        key="paths", noun="paths", kind="rect paths", what=lambda: rect_paths_name(args.s, args.t),
         to_json=lambda path: path.to_json(), to_text=lambda path: " ".join(path.steps),
         write=_svg_writer(args.svg),
     )
@@ -304,7 +303,7 @@ def cmd_paths_gd(args) -> int:
         args, {"n": args.n, "k": args.k}, lambda cap: (count_gd(args.n, args.k), {}),
         lambda cap: enumerate_gd(args.n, args.k, max_items=cap),
         key="paths", noun="paths", kind="generalized paths",
-        what=gd_paths_name(args.n, args.k),
+        what=lambda: gd_paths_name(args.n, args.k),
         to_json=lambda path: path.to_json(), to_text=lambda path: " ".join(path.steps),
         write=_svg_writer(args.svg, labels=args.labels),
     )

@@ -38,10 +38,14 @@ class EnumerationCapError(SimcoresError):
         super().__init__(f"{what} exceeds the cap of {cap}; raise the cap to proceed")
 
 
-def check_cap(cap: int | None, count: Callable[[], int], what: str) -> None:
-    """The one cap rule: raise EnumerationCapError naming `what` when count() passes `cap`."""
+def check_cap(cap: int | None, count: Callable[[], int], what: Callable[[], str]) -> None:
+    """The one cap rule: raise EnumerationCapError naming what() when count() passes `cap`.
+
+    Both are called only when needed: count() when there is a cap, what()
+    when the error is raised, so a name is never formatted to be thrown away.
+    """
     if cap is not None and count() > cap:
-        raise EnumerationCapError(what, cap)
+        raise EnumerationCapError(what(), cap)
 
 
 class NotACoreError(SimcoresError):

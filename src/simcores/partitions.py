@@ -204,7 +204,7 @@ def subpartitions(p: Partition, max_items: int | None = None) -> Iterator[Partit
     count_subpartitions passes it (no silent truncation).
     """
     parts = p.parts
-    check_cap(max_items, lambda: count_subpartitions(p), f"subpartitions of {list(parts)}")
+    check_cap(max_items, lambda: count_subpartitions(p), lambda: f"subpartitions of {list(parts)}")
     rows = [0] * len(parts)
     while True:
         yield Partition(rows)

@@ -151,7 +151,7 @@ def enumerate_rect_paths(s: int, t: int, max_items: int | None = LIST_CAP) -> It
     is compared with it before the walk.
     """
     _require_coprime(s, t)
-    check_cap(max_items, lambda: count_rect_paths(s, t), rect_paths_name(s, t))
+    check_cap(max_items, lambda: count_rect_paths(s, t), lambda: rect_paths_name(s, t))
     for steps in _lattice_walks(RectPath.moves, (t, s)):
         yield RectPath._from_walk(s, t, steps)
 
@@ -349,7 +349,7 @@ def enumerate_gd(n: int, k: int, max_items: int | None = LIST_CAP) -> Iterator[G
     fill takes about 0.3 s on a 2-vCPU Xeon under Python 3.11.
     """
     _require_nk(n, k)
-    check_cap(max_items, lambda: count_gd(n, k), gd_paths_name(n, k))
+    check_cap(max_items, lambda: count_gd(n, k), lambda: gd_paths_name(n, k))
     for steps in _lattice_walks(_gd_moves(n, k), (n, n)):
         yield GeneralizedDyckPath._from_walk(n, k, steps)
 
@@ -364,7 +364,7 @@ def gd_label_masks(n: int, k: int, max_items: int | None = LIST_CAP) -> Iterator
     before the label table is built.
     """
     _require_nk(n, k)
-    check_cap(max_items, lambda: count_gd(n, k), gd_paths_name(n, k))
+    check_cap(max_items, lambda: count_gd(n, k), lambda: gd_paths_name(n, k))
     return _lattice_walks(_gd_moves(n, k), (n, n), _gd_label_table(n, k))
 
 

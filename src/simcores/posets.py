@@ -6,6 +6,12 @@ order is the reflexive-transitive closure of that relation, which on gaps
 coincides with "a - b is a nonzero representable integer": if a - b is a sum
 of generators, every partial sum from b up to a is itself a gap (otherwise a
 would be representable), so the whole chain stays inside the poset.
+
+In that order a covers b exactly when a - b is a minimal generator, one
+that is not a sum of two positive representable values: if a - b = x + y
+is such a sum, b + x is a gap strictly between them.  So the covers, the
+lower-ideal rule and the ideal walk read the minimal generators, and every
+other generator only repeats their edges.
 """
 
 from __future__ import annotations
@@ -31,9 +37,14 @@ _DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 class GapPoset:
-    """Immutable poset of the gaps of a numerical semigroup."""
+    """Immutable poset of the gaps of a numerical semigroup.
 
-    __slots__ = ("generators", "gaps", "_gapset", "_gapmask")
+    `generators` is the given set, normalised; `minimal_generators` its
+    members that are no sum of two positive representable values, which
+    alone give the covers.
+    """
+
+    __slots__ = ("generators", "minimal_generators", "gaps", "_gapset", "_gapmask")
 
     def __init__(self, generators: Iterable[int]):
         self.generators = gens = _finite_moduli(generators)
@@ -41,6 +52,16 @@ class GapPoset:
         bits = format(self._gapmask, "b")[::-1]  # bits[m] is "1" exactly when m is a gap
         self.gaps = tuple(compress(range(len(bits)), bits.encode().translate(_DIGIT_VALUES)))
         self._gapset = frozenset(self.gaps)
+        # g is minimal unless g - a is representable for a smaller minimal a;
+        # past the largest gap plus the smallest generator, g - gens[0] always is
+        bound = (self.frobenius_number or 0) + gens[0]
+        minimal: list[int] = []
+        for g in gens:
+            if g > bound:
+                break
+            if not any(self.is_representable(g - a) for a in minimal):
+                minimal.append(g)
+        self.minimal_generators = tuple(minimal)
 
     def is_representable(self, m: int) -> bool:
         """Whether m is a non-negative combination of the generators."""
@@ -64,20 +85,17 @@ class GapPoset:
 
     @property
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Every pair of gaps (a, b) with a - b a generator, by increasing a, then
-        in generator order.
+        """The Hasse diagram: every pair of gaps (a, b) with a - b a minimal
+        generator, by increasing a, then in generator order.
 
-        These are the Hasse diagram's edges only when no generator is a sum of
-        others; to_dot(transitive_reduce=True) gives the Hasse diagram for any
-        generator set.  Computed on each read; a caller that needs it twice
-        keeps it.
+        Computed on each read; a caller that needs it twice keeps it.
         """
         return tuple((a, c) for a in self.gaps for c in self.lower_covers(a))
 
     def lower_covers(self, a: int) -> tuple[int, ...]:
-        """The gaps a - g, in generator order, for any int a."""
+        """The gaps a - g over the minimal generators g, in order, for any int a."""
         gapset = self._gapset
-        return tuple(a - g for g in self.generators if a - g in gapset)
+        return tuple(a - g for g in self.minimal_generators if a - g in gapset)
 
     def is_lower_ideal(self, subset: Iterable[int]) -> bool:
         """Whether a set of values is a set of gaps closed downward (is_lower_ideal_mask)."""
@@ -93,15 +111,16 @@ class GapPoset:
         """Whether the gaps with a bit set in `mask` form a lower ideal.
 
         Every bit must be a gap, and the set must be closed under covers,
-        which is closure under the order: for each generator g, a member a
-        whose a - g is a gap must hold a - g.  Shifting the mask right by g
-        moves a to a - g, so that is one test per generator.
+        which is closure under the order: for each minimal generator g, a
+        member a whose a - g is a gap must hold a - g.  Shifting the mask
+        right by g moves a to a - g, so that is one test per minimal
+        generator.
         """
         gapmask = self._gapmask
         if mask & ~gapmask:
             return False  # a non-gap bit, or a negative mask
         missing = gapmask & ~mask
-        for g in self.generators:
+        for g in self.minimal_generators:
             if mask >> g & missing:
                 return False
         return True
@@ -114,8 +133,7 @@ class GapPoset:
         Past max_items it fails before the first ideal: the residue DP counts
         them first, with max_items as its state cap too (errors.check_cap).
         """
-        check_cap(max_items, lambda: self.count_lower_ideals(max_items),
-                  f"lower ideals of P_{list(self.generators)}")
+        check_cap(max_items, lambda: self.count_lower_ideals(max_items), self.ideals_name)
         yield from map(frozenset, self._walk_lower_ideals())
 
     def iter_core_rows(self, max_items: int | None = LIST_CAP
@@ -142,8 +160,7 @@ class GapPoset:
         enter the hook mask, so it tests a core independently of whether
         the gaps form a lower ideal.
         """
-        check_cap(max_items, lambda: self.count_lower_ideals(max_items),
-                  f"lower ideals of P_{list(self.generators)}")
+        check_cap(max_items, lambda: self.count_lower_ideals(max_items), self.ideals_name)
         top = (self.frobenius_number or 0) + 1
         # states[d]: (column mask, hook mask, size, parts) of the first d rows;
         # a lower ideal holds at most top - 1 gaps
@@ -159,6 +176,10 @@ class GapPoset:
             _, hooks, size, parts = states[depth]
             yield parts, size, hooks
 
+    def ideals_name(self) -> str:
+        """The name cap errors give this poset's lower ideals."""
+        return f"lower ideals of P_{list(self.generators)}"
+
     def _walk_lower_ideals(self) -> Iterator[list[int]]:
         """The uncapped walk behind iter_lower_ideals: one list of gaps, reused.
 
@@ -168,9 +189,10 @@ class GapPoset:
         i* = max{i not in mask : the lower covers of gaps[i] are in mask},
         drops the gaps above i* and keeps those below.  `addable` holds that
         set of indices as a bitmask, so i* is its top bit.  Dropping or adding
-        a gap changes `addable` only at that gap and its at most #generators
-        upper covers; each step adds one gap and a gap is dropped only after
-        it was added, so an ideal costs amortized O(#generators) steps.
+        a gap changes `addable` only at that gap and its upper covers, at most
+        one per minimal generator; each step adds one gap and a gap is dropped
+        only after it was added, so an ideal costs amortized
+        O(#minimal generators) steps.
         Each yielded `chosen` is the previous one with its top gaps popped
         and one larger gap pushed.
         """
@@ -240,7 +262,9 @@ class GapPoset:
         |lambda| = S - K(K-1)/2 (ideal_to_core), so taking the h gaps of
         class r, of sum sigma = h r + m h(h-1)/2, adds
         N sigma - h sum K - N h(h-1)/2 to sum |lambda| and N h to sum K, as
-        in paths._walk_size_totals.  Valid for any generators; it raises
+        in paths._walk_size_totals.  It reads every generator, where the
+        walk reads only the minimal ones, so it counts the walk's ideals
+        independently.  Valid for any generators; it raises
         EnumerationCapError when a residue step is about to add a state past
         max_states (LIST_CAP by default, None for no cap), so no step holds
         more than max_states states.
@@ -302,24 +326,15 @@ class GapPoset:
         count, size_sum, _ = states[()]
         return count, size_sum
 
-    def to_dot(self, transitive_reduce: bool = False) -> str:
-        """Hasse-style DOT digraph; edges point from each gap up to its covers."""
-        edges = self._reduced_covers() if transitive_reduce else self.covers
+    def to_dot(self) -> str:
+        """DOT digraph of the Hasse diagram; edges point from each gap up to its covers."""
         lines = ["digraph gap_poset {", "  rankdir=BT;", "  node [shape=circle];"]
         for g in self.gaps:
             lines.append(f"  {g};")
-        for a, b in sorted(edges, key=lambda e: (e[1], e[0])):
+        for a, b in sorted(self.covers, key=lambda e: (e[1], e[0])):
             lines.append(f"  {b} -> {a};")
         lines.append("}")
         return "\n".join(lines)
-
-    def _reduced_covers(self) -> tuple[tuple[int, int], ...]:
-        # drop (a, b) when a chain from b up to a passes another gap: its first
-        # step goes to a gap c = b + g != a, and then a - c is representable
-        gapset = self._gapset
-        return tuple((a, b) for a, b in self.covers
-                     if not any(b + g != a and b + g in gapset and self.is_representable(a - b - g)
-                                for g in self.generators))
 
     def to_json_dict(self) -> dict:
         return {

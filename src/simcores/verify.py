@@ -435,7 +435,9 @@ _IdealsAndCores = Callable[[GapPoset], tuple[int, int, bool]]
 def _shared_ideals_and_cores() -> _IdealsAndCores:
     """_ideals_and_cores, run once per generator set for every caller.
 
-    Pair (n, n+1) and consecutive run (n, 1) are the same poset.  A caller
+    Pair (n, n+1) and consecutive run (n, 1) are the same poset;
+    equinumerosity_suite passes only those here, so it keeps results of
+    two-generator sets alone, however long its runs are.  A caller
     holds the set's lock while it reads the result or walks the poset, so a
     --jobs thread that asks for a poset another thread is walking waits for
     that walk.  A walk that raises stores nothing: the next caller walks
@@ -503,19 +505,23 @@ def equinumerosity_suite(max_pair_sum: int, max_n: int, max_k: int,
     instance list is built, so a range with an instance past the cap fails
     before its first walk, naming the first such instance.
     """
+    # pair (n, n+1) and run (n, 1) are the same poset, and no other two
+    # instances are; only those share a walk, so no other result is kept
     shared = _shared_ideals_and_cores()
     instances: list[tuple[str, Callable[[], tuple[bool, str]]]] = []
     for s, t in _coprime_pairs(max_pair_sum):
         formula = count_rect_paths(s, t)
-        check_cap(LIST_CAP, lambda: formula, f"lower ideals of P_{[s, t]}")
+        check_cap(LIST_CAP, lambda: formula, lambda: f"lower ideals of P_{[s, t]}")
+        walk = shared if t == s + 1 and s <= max_n else _ideals_and_cores
         instances.append((f"pair ({s},{t})",
-                          lambda s=s, t=t, f=formula: _check_pair(s, t, shared, f)))
+                          lambda s=s, t=t, f=formula, w=walk: _check_pair(s, t, w, f)))
     for n in range(1, max_n + 1):
         for k in range(1, max_k + 1):
             formula = multi_catalan(n, k)
-            check_cap(LIST_CAP, lambda: formula, gd_paths_name(n, k))
+            check_cap(LIST_CAP, lambda: formula, lambda: gd_paths_name(n, k))
+            walk = shared if k == 1 and 2 * n + 1 <= max_pair_sum else _ideals_and_cores
             instances.append((f"consecutive ({n},{k})",
-                              lambda n=n, k=k, f=formula: _check_consecutive(n, k, shared, f)))
+                              lambda n=n, k=k, f=formula, w=walk: _check_consecutive(n, k, w, f)))
     return _run_report(
         "equinumerosity",
         f"pairs with s+t <= {max_pair_sum}; consecutive n <= {max_n}, k <= {max_k}",
@@ -622,8 +628,7 @@ def check_conjecture_range(min_s: int, max_s: int, jobs: int = 1) -> CheckReport
                 oracles.append(("the residue DP", total))
                 if s <= CONJECTURE_ENUM_MAX_S:
                     # the DP's count is the walk's cap check, so it runs once
-                    check_cap(LIST_CAP, lambda: count,
-                              f"lower ideals of P_{list(poset.generators)}")
+                    check_cap(LIST_CAP, lambda: count, poset.ideals_name)
                     oracles.append(("ideal enumeration", sum(
                         ideal_to_core(poset, ideal).size
                         for ideal in poset.iter_lower_ideals(None))))

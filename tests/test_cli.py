@@ -55,6 +55,14 @@ def test_poset_plain_and_json(capsys):
 def test_poset_dot(capsys):
     code, out, _ = run_cli(capsys, "poset", "--gens", "5,7", "--format", "dot")
     assert code == 0 and out.startswith("digraph")
+    # the Hasse diagram: 9 = 4 + 5, so 11 covers 7 and 7 covers 2, but 11
+    # does not cover 2
+    code, out, _ = run_cli(capsys, "poset", "--gens", "4,5,9", "--format", "dot")
+    lines = out.splitlines()
+    assert code == 0 and "  7 -> 11;" in lines and "  2 -> 7;" in lines
+    assert "  2 -> 11;" not in lines
+    assert_usage_error(capsys, "poset", "--gens", "4,5,9", "--reduce",
+                       message="unrecognized arguments: --reduce")
 
 
 def test_poset_gcd_error(capsys):

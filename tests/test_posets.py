@@ -92,7 +92,7 @@ def test_sieve_cost_follows_the_frobenius_number_not_the_largest_generator():
 def cover_views(poset):
     values = range(-1, (poset.frobenius_number or 0) + 3)
     return (poset.covers, [poset.lower_covers(a) for a in values], poset.to_dot(),
-            poset.to_dot(transitive_reduce=True), poset.to_json_dict())
+            poset.to_json_dict())
 
 
 def test_a_poset_answers_gap_questions_without_building_its_covers():
@@ -155,7 +155,15 @@ def test_covers_definition():
     assert set(poset.lower_covers(16)) == {3, 9, 11}
 
 
-def test_covers_match_brute_force_in_order_and_reduce_to_the_hasse_diagram():
+def brute_minimal_generators(gens):
+    # oracle: the generators that are not a sum of two positive representable values
+    top = max(gens)
+    gaps = set(brute_gaps(gens, top))
+    return tuple(g for g in gens
+                 if not any(x not in gaps and g - x not in gaps for x in range(1, g)))
+
+
+def test_covers_match_brute_force_in_order_and_are_the_hasse_diagram():
     # pairs, runs, sets with one generator the sum of two others or of three
     # (9 = 3+3+3, 6 = 2+2+2), and sets holding 1, which have no gaps
     sets = [(2, 3), (3, 4), (3, 5), (5, 7), (4, 9), (7, 9), (3, 4, 5), (4, 5, 6), (5, 6, 7),
@@ -165,23 +173,48 @@ def test_covers_match_brute_force_in_order_and_reduce_to_the_hasse_diagram():
         poset = GapPoset(gens)
         gaps = brute_gaps(gens, 200)
         gapset = set(gaps)
+        minimal = brute_minimal_generators(gens)
         assert list(poset.gaps) == gaps, gens
         # covers by increasing a, then in increasing generator order
         assert poset.covers == tuple(
-            (a, a - g) for a in gaps for g in gens if a - g in gapset), gens
+            (a, a - g) for a in gaps for g in minimal if a - g in gapset), gens
         top = gaps[-1] if gaps else 0
         for a in range(-1, top + 3):
-            assert poset.lower_covers(a) == tuple(a - g for g in gens if a - g in gapset), (gens, a)
+            assert poset.lower_covers(a) == tuple(
+                a - g for g in minimal if a - g in gapset), (gens, a)
         # Hasse diagram of the order "a - b is representable": b below a with
         # no gap strictly between them in that order
         below = {a: {b for b in gaps if b < a and a - b not in gapset} for a in gaps}
         hasse = {(a, b) for a in gaps for b in below[a]
                  if not any(b in below[c] for c in below[a])}
-        dot = poset.to_dot(transitive_reduce=True)
+        assert set(poset.covers) == hasse, gens
         edges = [tuple(map(int, line.strip(" ;").split(" -> ")))
-                 for line in dot.splitlines() if "->" in line]
+                 for line in poset.to_dot().splitlines() if "->" in line]
         assert len(edges) == len(set(edges)), gens
         assert {(a, b) for b, a in edges} == hasse, gens
+
+
+def test_minimal_generators_and_the_walk_over_every_small_set():
+    sets = [gens for size in (2, 3, 4) for gens in itertools.combinations(range(2, 15), size)
+            if math.gcd(*gens) == 1]
+    assert len(sets) == 976
+    walked = 0
+    for gens in sets:
+        poset = GapPoset(gens)
+        assert poset.minimal_generators == brute_minimal_generators(gens), gens
+        # the residue DP reads every generator, the walk only the minimal
+        # ones; every set with a non-minimal generator has at most 3,876
+        # ideals, and the 14 sets past 5,000 have only minimal generators
+        count = poset.count_lower_ideals()
+        if count <= 5000:
+            assert sum(1 for _ in poset.iter_lower_ideals(None)) == count, gens
+            walked += 1
+    assert walked == 962
+    # a long run: the walk and the ideal test read two generators, not 3001
+    poset = GapPoset(range(2, 3003))
+    assert poset.generators == tuple(range(2, 3003))
+    assert poset.minimal_generators == (2, 3)
+    assert poset.covers == () and poset.count_lower_ideals() == 2
 
 
 def test_order_is_transitive_closure_of_covers():
@@ -720,12 +753,13 @@ def test_dot_export():
     assert dot.startswith("digraph")
     assert dot.count("->") == len(poset.covers)
     assert "16;" in dot
-    # {4, 5, 9}: the edge 11 > 2 (difference 9) is implied by 11 > 7 > 2
+    # {4, 5, 9}: 9 = 4 + 5, so 11 > 2 (difference 9) is no cover: 11 > 7 > 2
     poset459 = build_gap_poset((4, 5, 9))
-    assert (11, 2) in poset459.covers
-    reduced = poset459.to_dot(transitive_reduce=True)
-    assert "2 -> 11" not in reduced
-    assert "7 -> 11" in reduced and "2 -> 7" in reduced
+    assert poset459.minimal_generators == (4, 5)
+    assert (11, 2) not in poset459.covers
+    dot = poset459.to_dot()
+    assert "2 -> 11" not in dot
+    assert "7 -> 11" in dot and "2 -> 7" in dot
 
 
 def test_json_export():
