@@ -17,7 +17,6 @@ other generator only repeats their edges.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import compress
 from operator import mul
 from typing import Iterable, Iterator
@@ -356,7 +355,12 @@ def _finite_moduli(generators: Iterable[int]) -> CoreModuli:
 
 
 def semigroup_gap_mask(generators: Iterable[int]) -> int:
-    """GapPoset(generators).gap_mask, with no poset built and none cached."""
+    """GapPoset(generators).gap_mask, with no poset built: the sieve alone.
+
+    The checks that read only gaps (Frobenius, Sylvester, symmetry) take
+    the mask, where the largest gap is mask.bit_length() - 1 and the gaps
+    up to b number (mask & ((2 << b) - 1)).bit_count().
+    """
     return _sieve(_finite_moduli(generators))
 
 
@@ -392,12 +396,8 @@ def _sieve(gens: CoreModuli) -> int:
 
 
 def build_gap_poset(generators: Iterable[int]) -> GapPoset:
-    """GapPoset for a generator set; requires gcd 1 (finite gap set)."""
-    return _cached_poset(CoreModuli(generators))
-
-
-@lru_cache(maxsize=512)
-def _cached_poset(generators: CoreModuli) -> GapPoset:
+    """A new GapPoset for a generator set on each call; requires gcd 1 (finite
+    gap set).  Nothing is cached: a caller that needs one poset twice keeps it."""
     return GapPoset(generators)
 
 

@@ -238,24 +238,26 @@ def representation_counts(s: int, t: int, limit: int) -> list[int]:
 
 
 def frobenius_pair(s: int, t: int) -> int:
-    """st - s - t, cross-checked against the largest sieved gap."""
+    """st - s - t, cross-checked against the largest gap, the top bit of the
+    sieve's gap mask; no poset is built."""
     if s < 2 or t < 2:
         raise ValueError(f"need s, t >= 2, got ({s}, {t})")
     g = math.gcd(s, t)
     if g != 1:
         raise NonCoprimeError(s, t, g)
     expected = s * t - s - t
-    largest = build_gap_poset((s, t)).frobenius_number
+    largest = semigroup_gap_mask((s, t)).bit_length() - 1
     if largest != expected:
         raise InvariantError(f"sieve says largest gap {largest}, formula {expected}")
     return expected
 
 
 def sylvester_check(s: int, t: int) -> bool:
-    """Exactly half of 1..(s-1)(t-1) are gaps of the two-generator semigroup."""
-    poset = build_gap_poset((s, t))
+    """Exactly half of 1..(s-1)(t-1) are gaps of the two-generator semigroup,
+    counted as the set bits of the sieve's gap mask up to (s-1)(t-1); no
+    poset is built."""
     bound = (s - 1) * (t - 1)
-    n_gaps = sum(1 for gap in poset.gaps if gap <= bound)
+    n_gaps = (semigroup_gap_mask((s, t)) & ((2 << bound) - 1)).bit_count()
     return 2 * n_gaps == bound
 
 
@@ -273,7 +275,7 @@ def symmetry_check(s: int) -> CheckReport:
         raise ValueError(f"s must be odd (the {{s, s+2}} gap set is infinite for even s), got {s}")
     if s < 3:
         raise ValueError(f"need s >= 3, got {s}")
-    # the mask alone: a poset would be cached, and a run builds each s once
+    # the mask alone: the check reads only which values are gaps
     gaps = semigroup_gap_mask((s, s + 2))
     start = time.perf_counter()
     width = s + 1

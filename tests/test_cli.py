@@ -653,18 +653,10 @@ import simcores.paths as paths
 import simcores.verify as verify
 from simcores.cli import main
 
-real_build = verify.build_gap_poset
+real_mask = verify.semigroup_gap_mask
 
-class WrongFrobenius:
-    def __init__(self, poset):
-        self.poset = poset
-    def __getattr__(self, name):
-        return getattr(self.poset, name)
-    @property
-    def frobenius_number(self):
-        return self.poset.frobenius_number + 1
-
-verify.build_gap_poset = lambda gens: WrongFrobenius(real_build(gens))
+# 2 is a generator of (2, 3); calling it a gap moves the largest gap from 1 to 2
+verify.semigroup_gap_mask = lambda gens: real_mask(gens) | (1 << 2 if tuple(gens) == (2, 3) else 0)
 popoviciu_code = main(["verify", "popoviciu", "--max-t", "5"])
 paths.binomial = lambda n, k: 1
 rect_code = main(["count", "rect", "--s", "3", "--t", "5"])

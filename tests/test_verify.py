@@ -141,13 +141,8 @@ def test_popoviciu_range_fails_a_pair_whose_sieve_disagrees_with_the_formula(mon
         # 9 = 3 + 3 + 3 is representable; calling it a gap moves the largest gap
         return real(gens) | (1 << 9 if gens == (3, 5) else 0)
 
-    posets._cached_poset.cache_clear()
     monkeypatch.setattr(posets, "_sieve", sieve_with_an_extra_gap)
-    try:
-        report = verify.check_popoviciu_range(5)
-    finally:
-        monkeypatch.undo()
-        posets._cached_poset.cache_clear()
+    report = verify.check_popoviciu_range(5)
     assert report.failures == [
         "(s,t)=(3,5): invariant failed: sieve says largest gap 9, formula 7"]
 
@@ -226,12 +221,25 @@ def test_symmetry_failures_match_the_per_value_loop(monkeypatch):
             s, build_gap_poset((s, s + 2)))
 
 
-def test_symmetry_range_keeps_no_poset():
-    before = posets._cached_poset.cache_info()
+def test_no_check_keeps_or_needs_a_poset(monkeypatch):
+    # no check keeps a poset once it returns, so a long run's memory does not
+    # grow with its instances, and the gap checks read the sieve mask alone
+    def live_posets():
+        gc.collect()
+        return sum(1 for obj in gc.get_objects() if type(obj) is GapPoset)
+
+    before = live_posets()
+    assert equinumerosity_suite(2, 2, 200).passed
+    assert live_posets() == before
+    assert build_gap_poset((3, 5)) is not build_gap_poset((3, 5))
+
+    def refuse(self, generators):
+        raise AssertionError("built a GapPoset")
+
+    monkeypatch.setattr(GapPoset, "__init__", refuse)
+    assert verify.check_popoviciu_range(12).passed
     report = verify.check_symmetry_range(3, 61)
-    after = posets._cached_poset.cache_info()
     assert report.passed and report.total == 30
-    assert (after.currsize, after.misses) == (before.currsize, before.misses)
 
 
 def test_symmetry_reflection_is_involution():
@@ -377,10 +385,11 @@ def test_a_run_whose_path_dp_count_disagrees_with_multi_catalan_fails(monkeypatc
 
 
 def test_the_equinumerosity_checks_build_no_path_partition_or_frozenset(monkeypatch):
-    # posets are built, and cached, before the patches: their constructor
-    # keeps a frozenset of the gaps
-    consecutive_poset(9, 3)
-    build_gap_poset((9, 11))
+    # the posets are built before frozenset is refused, since their
+    # constructor keeps a frozenset of the gaps, and the checks are handed them
+    run, pair = consecutive_poset(9, 3), build_gap_poset((9, 11))
+    monkeypatch.setattr(verify, "consecutive_poset", lambda n, k: run)
+    monkeypatch.setattr(verify, "build_gap_poset", lambda gens: pair)
 
     def refuse(*args, **kwargs):
         raise AssertionError("built an object the check should not build")
