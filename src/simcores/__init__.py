@@ -14,7 +14,6 @@ from .partitions import (
     Partition,
     count_subpartitions,
     partition_from_hooks,
-    partitions_in_box,
     render_ferrers,
     subpartitions,
 )

@@ -229,13 +229,6 @@ def count_subpartitions(p: Partition) -> int:
     return sum(ways)
 
 
-def partitions_in_box(max_parts: int, max_part: int) -> Iterator[Partition]:
-    """All partitions with at most max_parts parts, each at most max_part."""
-    if max_parts < 0 or max_part < 0:
-        raise ValueError(f"box sides must be >= 0, got ({max_parts}, {max_part})")
-    return subpartitions(Partition([max_part] * max_parts))
-
-
 def render_ferrers(p: Partition, hooks: bool = False, orientation: str = "french") -> str:
     """ASCII Ferrers diagram, cells as dots or hook lengths.
 

@@ -76,12 +76,6 @@ class GapPoset:
         """Largest gap, or None when every positive integer is representable."""
         return self.gaps[-1] if self.gaps else None
 
-    def leq(self, b: int, a: int) -> bool:
-        """b <= a in the gap order (both must be gaps)."""
-        if b not in self._gapset or a not in self._gapset:
-            raise ValueError(f"{b} and {a} must both be gaps of {list(self.generators)}")
-        return b == a or (a - b > 0 and self.is_representable(a - b))
-
     @property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """The Hasse diagram: every pair of gaps (a, b) with a - b a minimal
@@ -113,7 +107,7 @@ class GapPoset:
         which is closure under the order: for each minimal generator g, a
         member a whose a - g is a gap must hold a - g.  Shifting the mask
         right by g moves a to a - g, so that is one test per minimal
-        generator.
+        generator; the ideal walk applies the same shifts.
         """
         gapmask = self._gapmask
         if mask & ~gapmask:
@@ -182,50 +176,36 @@ class GapPoset:
     def _walk_lower_ideals(self) -> Iterator[list[int]]:
         """The uncapped walk behind iter_lower_ideals: one list of gaps, reused.
 
-        Bit i of `mask` records whether gaps[i] is in the current ideal, and
-        `chosen` holds those gaps in increasing order.  Lower covers have
-        smaller indices, so the successor of an ideal includes
-        i* = max{i not in mask : the lower covers of gaps[i] are in mask},
-        drops the gaps above i* and keeps those below.  `addable` holds that
-        set of indices as a bitmask, so i* is its top bit.  Dropping or adding
-        a gap changes `addable` only at that gap and its upper covers, at most
-        one per minimal generator; each step adds one gap and a gap is dropped
-        only after it was added, so an ideal costs amortized
-        O(#minimal generators) steps.
+        Bit a of `mask` is set when gap a is in the current ideal, and
+        `chosen` holds those gaps in increasing order.  The successor of an
+        ideal includes the largest addable gap a*, a missing gap none of
+        whose lower covers is missing, drops the gaps above a* and keeps
+        those below.  A gap a has a missing lower cover exactly when bit a
+        is set in `missing << g` for some minimal generator g, which is
+        is_lower_ideal_mask's test read the other way, so an ideal costs
+        O(#minimal generators) shifts of an (F+1)-bit mask, F the
+        Frobenius number, and no per-gap table is kept.
         Each yielded `chosen` is the previous one with its top gaps popped
         and one larger gap pushed.
         """
-        gaps = self.gaps
-        index = {g: i for i, g in enumerate(gaps)}
-        lower = [[index[c] for c in self.lower_covers(g)] for g in gaps]
-        need = [sum(1 << c for c in cs) for cs in lower]
-        ups: list[list[int]] = [[] for _ in gaps]
-        for i, cs in enumerate(lower):
-            for c in cs:
-                ups[c].append(i)
-        # complement of the upper covers of each gap, as a bitmask
-        not_above = [~sum(1 << u for u in us) for us in ups]
+        gapmask = self._gapmask
+        minimal = self.minimal_generators
         mask = 0
-        addable = sum(1 << i for i, n in enumerate(need) if not n)
         chosen: list[int] = []
         while True:
             yield chosen
-            if not addable:
+            missing = gapmask ^ mask
+            if not missing:
                 return  # only the full gap set has no addable gap
-            i = addable.bit_length() - 1
-            # drop the gaps above i from the top, so the mask stays an ideal;
-            # a dropped gap is addable again and its upper covers are not
-            while mask >> i:
-                top = mask.bit_length() - 1
-                mask ^= 1 << top
+            blocked = 0
+            for g in minimal:
+                blocked |= missing << g
+            a = (missing & ~blocked).bit_length() - 1
+            while chosen and chosen[-1] > a:
                 chosen.pop()
-                addable = (addable | 1 << top) & not_above[top]
-            mask |= 1 << i
-            addable ^= 1 << i
-            chosen.append(gaps[i])
-            for u in ups[i]:
-                if need[u] & mask == need[u]:
-                    addable |= 1 << u
+            bit = 1 << a
+            mask = mask & (bit - 1) | bit
+            chosen.append(a)
 
     def count_lower_ideals(self, max_states: int | None = LIST_CAP) -> int:
         """Number of lower ideals: the N of core_size_totals' residue-class DP,

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import pytest
 
 from simcores.exact import binomial, catalan_number, hessenberg_catalan_det
-from simcores.partitions import Partition, partitions_in_box, subpartitions
+from simcores.partitions import Partition, subpartitions
 from simcores.paths import (
     count_gd,
     count_rect_paths,
@@ -87,7 +87,7 @@ def test_criterion_01_pair_equinumerosity():
 
 def test_criterion_02_kreweras_determinant():
     with criterion(2, "subpartition-count determinant, 5x5 box", limit_seconds=5.0):
-        shapes = list(partitions_in_box(5, 5))
+        shapes = list(subpartitions(Partition([5] * 5)))
         assert len(shapes) == 252
         for shape in shapes:
             brute = sum(1 for _ in subpartitions(shape))
@@ -96,7 +96,7 @@ def test_criterion_02_kreweras_determinant():
 
 def test_criterion_03_q_determinant():
     with criterion(3, "coarea q-determinant, 4x4 box", limit_seconds=5.0):
-        shapes = list(partitions_in_box(4, 4))
+        shapes = list(subpartitions(Partition([4] * 4)))
         assert len(shapes) == 70
         for shape in shapes:
             poly = qdet_coarea(shape)

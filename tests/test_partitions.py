@@ -9,7 +9,6 @@ from simcores.partitions import (
     Partition,
     count_subpartitions,
     partition_from_hooks,
-    partitions_in_box,
     render_ferrers,
     subpartitions,
 )
@@ -297,16 +296,13 @@ def test_count_subpartitions_matches_enumeration():
 
 
 def test_subpartition_count_matches_determinant():
-    for p in partitions_in_box(4, 4):
+    for p in subpartitions(Partition([4] * 4)):
         assert count_subpartitions(p) == kreweras_count(p)
 
 
 def test_partitions_in_box_count():
-    assert sum(1 for _ in partitions_in_box(5, 5)) == 252
-    assert sum(1 for _ in partitions_in_box(4, 4)) == 70
-    for sides in ((-1, 3), (3, -1)):
-        with pytest.raises(ValueError, match="box sides must be >= 0"):
-            partitions_in_box(*sides)
+    assert sum(1 for _ in subpartitions(Partition([5] * 5))) == 252
+    assert sum(1 for _ in subpartitions(Partition([4] * 4))) == 70
 
 
 def box_partitions_reference(max_parts, max_part):
@@ -323,7 +319,7 @@ def box_partitions_reference(max_parts, max_part):
 def test_partitions_in_box_order():
     for m in range(6):
         for n in range(6):
-            assert [p.parts for p in partitions_in_box(m, n)] == box_partitions_reference(m, n)
+            assert [p.parts for p in subpartitions(Partition([n] * m))] == box_partitions_reference(m, n)
 
 
 def test_long_shapes_do_not_hit_the_recursion_limit():

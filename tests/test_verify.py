@@ -13,7 +13,7 @@ import pytest
 from simcores import paths, posets, verify
 from simcores.exact import binomial, catalan_number
 from simcores.errors import EnumerationCapError, InvariantError, NonCoprimeError
-from simcores.partitions import Partition, partitions_in_box
+from simcores.partitions import Partition, subpartitions
 from simcores.paths import count_rect_paths, diagonal_partition, gd_size_totals
 from simcores.posets import GapPoset, build_gap_poset, consecutive_poset, multi_catalan
 from simcores.qpoly import QPolynomial
@@ -55,7 +55,7 @@ def test_qdet_examples():
 
 
 def test_qdet_matches_brute_force_in_3x3_box():
-    for p in partitions_in_box(3, 3):
+    for p in subpartitions(Partition([3] * 3)):
         poly = qdet_coarea(p)
         assert poly == subpartition_size_polynomial(p)
         assert poly(1) == kreweras_count(p)
