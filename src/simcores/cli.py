@@ -175,7 +175,8 @@ def cmd_poset(args) -> int:
         print(json.dumps(poset.to_json_dict()))
     else:
         print(f"generators: {', '.join(map(str, poset.generators))}")
-        print(f"gaps ({len(poset.gaps)}): {', '.join(map(str, poset.gaps))}")
+        gaps = poset.gaps
+        print(f"gaps ({len(gaps)}): {', '.join(map(str, gaps))}")
         covers = poset.covers
         print(f"covers ({len(covers)}):")
         for a, b in covers:

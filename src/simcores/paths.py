@@ -312,16 +312,6 @@ class GeneralizedDyckPath(_LatticePath):
     def _family(self) -> str:
         return f"k={self.k} in the {self.n} x {self.n} square"
 
-    def inflate(self) -> tuple[str, ...]:
-        """Unit N/E path with each step (dx, dy) replaced by N^dy E^dx; injective on paths."""
-        moves = self.moves
-        out: list[str] = []
-        for step in self.steps:
-            dx, dy = moves[step]
-            out.extend("N" * dy)
-            out.extend("E" * dx)
-        return tuple(out)
-
 
 def count_gd(n: int, k: int) -> int:
     """Number of generalized (n,k) paths via first-return decomposition.
@@ -436,9 +426,10 @@ def gd_to_ideal(path: GeneralizedDyckPath) -> frozenset[int]:
     """Lower ideal of the consecutive poset for {n, ..., n+k} matching the path.
 
     Collects the diagonal_cell_labels of the cells strictly below the
-    inflated path, so the all-vertical-first path maps to the full gap set
-    and the diagonal-hugging path to the empty ideal; this orientation is
-    the one under which the label sets are downward closed.  The OR of the
+    inflated path (the path with each step (dx, dy) drawn as N^dy E^dx), so
+    the all-vertical-first path maps to the full gap set and the
+    diagonal-hugging path to the empty ideal; this orientation is the one
+    under which the label sets are downward closed.  The OR of the
     steps' label masks is checked by GapPoset.is_lower_ideal_mask; a failure
     there (InvariantError) means a labeling bug, not bad input.
     """
@@ -451,7 +442,7 @@ def gd_to_ideal(path: GeneralizedDyckPath) -> frozenset[int]:
         advance, taken = moves[step]
         got = taken.get(at)
         if got is None:
-            # a step (dx, dy) rises first (D_i inflates to N^i E^i), then runs
+            # a step (dx, dy) rises first (D_i is drawn as N^i E^i), then runs
             # east at its new height, so it takes the labels below that height
             # in the columns it crosses
             y, x = divmod(at, n + 1)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from itertools import compress
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Iterator
 
 from .errors import EnumerationCapError, InfinitePosetError, InvariantError, check_cap
@@ -35,22 +35,25 @@ LIST_CAP = 10**6
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
+def _members(mask: int) -> Iterator[int]:
+    """The positions of the set bits of a non-negative mask, in increasing order."""
+    bits = format(mask, "b")[::-1]  # bits[m] is "1" exactly when bit m is set
+    return compress(range(len(bits)), bits.encode().translate(_DIGIT_VALUES))
+
+
 class GapPoset:
-    """Immutable poset of the gaps of a numerical semigroup.
+    """Immutable poset of the gaps of a numerical semigroup, held as its gap mask.
 
     `generators` is the given set, normalised; `minimal_generators` its
     members that are no sum of two positive representable values, which
-    alone give the covers.
+    alone give the covers.  It stores only these and the gap mask.
     """
 
-    __slots__ = ("generators", "minimal_generators", "gaps", "_gapset", "_gapmask")
+    __slots__ = ("generators", "minimal_generators", "_gapmask")
 
     def __init__(self, generators: Iterable[int]):
         self.generators = gens = _finite_moduli(generators)
-        self._gapmask = _sieve(gens)
-        bits = format(self._gapmask, "b")[::-1]  # bits[m] is "1" exactly when m is a gap
-        self.gaps = tuple(compress(range(len(bits)), bits.encode().translate(_DIGIT_VALUES)))
-        self._gapset = frozenset(self.gaps)
+        self._gapmask = mask = _sieve(gens)
         # g is minimal unless g - a is representable for a smaller minimal a;
         # past the largest gap plus the smallest generator, g - gens[0] always is
         bound = (self.frobenius_number or 0) + gens[0]
@@ -58,13 +61,9 @@ class GapPoset:
         for g in gens:
             if g > bound:
                 break
-            if not any(self.is_representable(g - a) for a in minimal):
+            if all(mask >> (g - a) & 1 for a in minimal):
                 minimal.append(g)
         self.minimal_generators = tuple(minimal)
-
-    def is_representable(self, m: int) -> bool:
-        """Whether m is a non-negative combination of the generators."""
-        return m >= 0 and m not in self._gapset
 
     @property
     def gap_mask(self) -> int:
@@ -72,30 +71,39 @@ class GapPoset:
         return self._gapmask
 
     @property
+    def gaps(self) -> tuple[int, ...]:
+        """The gaps in increasing order, read off the mask on each read."""
+        return tuple(_members(self._gapmask))
+
+    @property
     def frobenius_number(self) -> int | None:
         """Largest gap, or None when every positive integer is representable."""
-        return self.gaps[-1] if self.gaps else None
+        return self._gapmask.bit_length() - 1 if self._gapmask else None
 
     @property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """The Hasse diagram: every pair of gaps (a, b) with a - b a minimal
-        generator, by increasing a, then in generator order.
+        generator, by increasing a, then in generator order: the bits b of
+        mask & mask >> g for each g in turn, merged by one stable sort on a.
 
-        Computed on each read; a caller that needs it twice keeps it.
+        Read off the mask on each read; a caller that needs it twice keeps it.
         """
-        return tuple((a, c) for a in self.gaps for c in self.lower_covers(a))
+        mask = self._gapmask
+        return tuple(sorted(((b + g, b) for g in self.minimal_generators
+                             for b in _members(mask & mask >> g)), key=itemgetter(0)))
 
     def lower_covers(self, a: int) -> tuple[int, ...]:
         """The gaps a - g over the minimal generators g, in order, for any int a."""
-        gapset = self._gapset
-        return tuple(a - g for g in self.minimal_generators if a - g in gapset)
+        mask = self._gapmask
+        return tuple(a - g for g in self.minimal_generators if a > g and mask >> (a - g) & 1)
 
     def is_lower_ideal(self, subset: Iterable[int]) -> bool:
-        """Whether a set of values is a set of gaps closed downward (is_lower_ideal_mask)."""
-        gapset = self._gapset
+        """Whether a set of ints is a set of gaps closed downward (is_lower_ideal_mask);
+        an element outside 1..F fails before it is shifted, a non-int in 1..F raises TypeError."""
+        top = self._gapmask.bit_length()
         mask = 0
         for a in subset:
-            if a not in gapset:
+            if not 0 < a < top:
                 return False
             mask |= 1 << a
         return self.is_lower_ideal_mask(mask)
@@ -251,7 +259,7 @@ class GapPoset:
         gens = self.generators
         m = gens[0]
         n = [0] * m
-        for a in self.gaps:
+        for a in _members(self._gapmask):
             n[a % m] += 1
         # slack[r][r2] = c of the tightest constraint h_r2 >= h_r - c
         slack: list[dict[int, int]] = [{} for _ in range(m)]
@@ -323,7 +331,7 @@ class GapPoset:
         }
 
     def __repr__(self) -> str:
-        return f"GapPoset(generators={list(self.generators)}, gaps={len(self.gaps)})"
+        return f"GapPoset(generators={list(self.generators)}, gaps={self._gapmask.bit_count()})"
 
 
 def _finite_moduli(generators: Iterable[int]) -> CoreModuli:

@@ -45,8 +45,9 @@ def test_gaps_match_brute_force():
     for gens in [(5, 7, 13), (5, 7), (3, 4), (2, 7), (4, 5, 6), (6, 7, 8, 9, 10, 11)]:
         poset = build_gap_poset(gens)
         assert list(poset.gaps) == brute_gaps(gens, 200)
+        gaps = brute_gaps(gens, 60)
         for m in range(60):
-            assert poset.is_representable(m) == (m not in set(brute_gaps(gens, 60)) and m >= 0)
+            assert bool(poset.gap_mask >> m & 1) == (m in gaps), (gens, m)
 
 
 def reference_gap_mask(gens):
@@ -75,18 +76,33 @@ def test_sieve_matches_a_per_value_reference_on_every_small_set():
 
 def test_sieve_cost_follows_the_frobenius_number_not_the_largest_generator():
     # a sieve bounded by the largest generator would scan past 5_000_000 and
-    # 10**9; these bounds are generous against a build of a few ms and 0.1 s
+    # 10**9; these bounds are generous against builds of a few ms each
     start = time.perf_counter()
     poset = GapPoset((2, 3, 5_000_000))
     assert time.perf_counter() - start < 1.0
-    assert poset.gaps == (1,) and poset.is_representable(4_999_999)
+    assert poset.gaps == (1,) and not poset.gap_mask >> 4_999_999 & 1
     start = time.perf_counter()
     poset = GapPoset((1000, 1001, 10**9))
     assert time.perf_counter() - start < 5.0
     # 10**9 lies past the Frobenius number of (1000, 1001), so it adds nothing
     assert poset.frobenius_number == 1000 * 1001 - 1000 - 1001
     assert len(poset.gaps) == 999 * 1000 // 2
-    assert not poset.is_representable(998_999) and poset.is_representable(999_000)
+    assert poset.gap_mask >> 998_999 & 1 and not poset.gap_mask >> 999_000 & 1
+
+
+def test_a_poset_holds_only_its_gap_mask():
+    # 499,500 gaps: held as a tuple and a frozenset they took 37 MB, while
+    # the mask is one int of 999,000 bits (0.12 MB); gaps is read off it
+    tracemalloc.start()
+    try:
+        poset = GapPoset((1000, 1001, 10**9))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000, held
+    assert GapPoset.__slots__ == ("generators", "minimal_generators", "_gapmask")
+    gaps = poset.gaps
+    assert type(gaps) is tuple and len(gaps) == 499_500 and gaps == poset.gaps
 
 
 def cover_views(poset):
@@ -101,7 +117,7 @@ def test_a_poset_answers_gap_questions_without_building_its_covers():
         gaps = brute_gaps(gens, 200)
         assert list(poset.gaps) == gaps
         assert poset.frobenius_number == (gaps[-1] if gaps else None)
-        assert [m for m in range(-3, 201) if not poset.is_representable(m)] == [-3, -2, -1] + gaps
+        assert [m for m in range(201) if poset.gap_mask >> m & 1] == gaps
 
 
 def test_shared_posets_read_the_same_across_threads():
@@ -218,9 +234,10 @@ def test_minimal_generators_and_the_walk_over_every_small_set():
 
 
 def test_order_is_transitive_closure_of_covers():
-    # oracle: reachability over cover edges
+    # oracle: reachability over cover edges, against "a - b is representable"
     for gens in [(5, 7, 13), (5, 7), (4, 5, 6), (3, 8), (4, 9)]:
         poset = build_gap_poset(gens)
+        gapset = set(brute_gaps(gens, 200))
         up = {g: set() for g in poset.gaps}
         for a, b in poset.covers:
             up[b].add(a)
@@ -234,7 +251,7 @@ def test_order_is_transitive_closure_of_covers():
                         reach.add(nxt)
                         frontier.append(nxt)
             for a in poset.gaps:
-                assert (a == b or poset.is_representable(a - b)) == (a == b or a in reach), \
+                assert (a >= b and a - b not in gapset) == (a == b or a in reach), \
                     (gens, a, b)
 
 
@@ -289,8 +306,12 @@ def test_is_lower_ideal_matches_the_cover_closure_rule():
         assert 0 < n_ideals < len(subsets), poset
     poset = build_gap_poset((3, 5))
     assert poset.is_lower_ideal([]) and poset.is_lower_ideal_mask(0)
-    for bad in ([0], [3], [-1], [1, -2], [1, 8], [1, 99]):
+    # an element past the largest gap fails before it is shifted into a mask
+    for bad in ([0], [3], [-1], [1, -2], [1, 8], [1, 99], [10**12], [1, 10**12]):
         assert not poset.is_lower_ideal(bad), bad
+    for not_int in ([2.0], [2.5], [1, 2.5]):
+        with pytest.raises(TypeError):
+            poset.is_lower_ideal(not_int)
     assert not poset.is_lower_ideal_mask(1)  # 0 is not a gap
     assert not poset.is_lower_ideal_mask(-1 << 1)  # nor is any negative bit pattern
     assert not poset.is_lower_ideal_mask(1 << 8)
@@ -601,10 +622,11 @@ def test_count_state_cap_fires_as_a_step_adds_states():
 
 def test_enumerated_ideals_closed_under_order():
     poset = build_gap_poset((5, 7, 13))
+    gapset = set(brute_gaps((5, 7, 13), 200))
     for ideal in poset.iter_lower_ideals():
         for a in ideal:
             for b in poset.gaps:
-                if a == b or poset.is_representable(a - b):
+                if a >= b and a - b not in gapset:
                     assert b in ideal
 
 
